@@ -31,7 +31,7 @@ from .simulator import (
 )
 from .sync import StreamUpdate
 from .topology import CameraNode, EdgeDef, TopologyGraph
-from .tracks import TrackState
+from .tracks import TrackState, TrajRow
 
 NA = "NA"
 
@@ -504,19 +504,6 @@ TRAJ_HEADER = [
     "global_id", "frame_index", "camera_id", "local_id", "t",
     "x_m", "y_m", "speed_kmh", "heading_rad", "status",
 ]
-
-
-class TrajRow(NamedTuple):
-    global_id: int
-    frame_index: int
-    camera_id: int
-    local_id: int
-    t: float
-    x_m: float
-    y_m: float
-    speed_kmh: Optional[float]
-    heading_rad: Optional[float]
-    status: Optional[str]
 
 
 def write_trajectories(path: str | Path, rows: Iterable[TrajRow]) -> int:

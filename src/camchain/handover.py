@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Container, Iterable, Iterator, Optional
 
 from .errors import CausalityError, ConfigError, MalformedInputError
 from .geometry import Point2, RoadFrame, Zone, get_zone, lateral_norm, point_in_polygon
@@ -44,11 +44,14 @@ from .kinematics import (
 )
 from .sync import Snapshot
 from .topology import EdgeKey, TopologyGraph, edge_is_entry, edge_is_exit
-from .tracks import GlobalTrajectory, TrackState
+from .tracks import GlobalTrajectory, TrackState, TrajRow
 
 # Heading projections smaller than this cannot pick a travel direction and
 # the lateral-position rule decides the zone instead.
 _PROJECTION_EPS = 1e-12
+
+# output rows carry the status as its CSV string
+_STATUS_VALUE = {None: None, **{m: m.value for m in MotionStatus}}
 
 
 class MatchStrategy(Enum):
@@ -139,48 +142,70 @@ class HandoverEvent:
 
 
 class DirectionalBuffer:
-    """FIFO of parked identities for one (edge, zone) lane of travel."""
+    """FIFO of parked identities for one (edge, zone) lane of travel.
+
+    Entries are keyed by global id in insertion order, and pushes must not
+    go back in time, so ``t_exit`` never decreases from head to tail.
+    """
 
     def __init__(self, edge_key: EdgeKey, zone: Zone) -> None:
         self.edge_key = edge_key
         self.zone = zone
-        self._entries: list[BufferEntry] = []
+        self._entries: dict[int, BufferEntry] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __iter__(self) -> Iterator[BufferEntry]:
+        return iter(self._entries.values())
+
     @property
     def entries(self) -> tuple[BufferEntry, ...]:
-        return tuple(self._entries)
+        return tuple(self._entries.values())
 
     def push(self, entry: BufferEntry) -> None:
+        entries = self._entries
+        if entries:
+            tail = entries[next(reversed(entries))]
+            if entry.t_exit < tail.t_exit:
+                raise CausalityError(
+                    f"buffer {self.edge_key}/{self.zone.value}: push at t={entry.t_exit} "
+                    f"is before the tail entry's t={tail.t_exit}"
+                )
         # a re-push supersedes the previous parking of the same id
-        self._entries = [e for e in self._entries if e.global_id != entry.global_id]
-        self._entries.append(entry)
+        entries.pop(entry.global_id, None)
+        entries[entry.global_id] = entry
 
     def remove(self, entry: BufferEntry) -> None:
-        self._entries.remove(entry)
+        del self._entries[entry.global_id]
 
     def sweep_expired(self, now: float, ttl: float) -> list[BufferEntry]:
-        """Drop and return entries whose age reached the timeout."""
-        expired = [e for e in self._entries if now - e.t_exit >= ttl]
-        if expired:
-            gone = {e.seq for e in expired}
-            self._entries = [e for e in self._entries if e.seq not in gone]
+        """Drop and return entries whose age reached the timeout.
+
+        Expired entries form a prefix, because ``t_exit`` never decreases
+        along the buffer.
+        """
+        expired = []
+        for e in self._entries.values():
+            if now - e.t_exit < ttl:
+                break
+            expired.append(e)
+        for e in expired:
+            del self._entries[e.global_id]
         return expired
 
 
-@dataclass
+@dataclass(slots=True)
 class _TrackRecord:
     """Mutable per-(camera, local id) bookkeeping inside the engine."""
 
+    px_hist: deque  # the last speed_window + 1 pixel positions
     global_id: Optional[int] = None
     last_t: float = 0.0
     last_frame: Optional[int] = None
     last_pos: Optional[Point2] = None
     heading: Optional[float] = None
     kin: Optional[KinematicState] = None
-    px_hist: deque = field(default_factory=deque)
 
 
 class HandoverEngine:
@@ -205,10 +230,13 @@ class HandoverEngine:
         for e in topology.edges:
             for z in (Zone.UPPER, Zone.LOWER):
                 self._buffers[(e.key, z)] = DirectionalBuffer(e.key, z)
+        self._calibration = {n.id: n.calibration for n in topology.nodes}
+        # least recently touched first, so stale records sit at the front
         self._records: dict[tuple[int, int], _TrackRecord] = {}
         self._next_gid = 0
         self._next_seq = 0
         self._last_frame: Optional[int] = None
+        self._last_t: Optional[float] = None
         self.trajectories: dict[int, GlobalTrajectory] = {}
         self.events: list[HandoverEvent] = []
         self.counts: Counter = Counter()
@@ -273,7 +301,7 @@ class HandoverEngine:
         y_rel: float,
         pos: Optional[Point2],
         heading: Optional[float],
-        exclude_gids: Iterable[int],
+        exclude_gids: Container[int],
     ) -> Optional[tuple[tuple, BufferEntry, float, float]]:
         """Best eligible entry of one buffer, or None.
 
@@ -282,13 +310,12 @@ class HandoverEngine:
         minimum.
         """
         m = self.matcher
-        excluded = set(exclude_gids)
         best: Optional[tuple[tuple, BufferEntry, float, float]] = None
-        for e in buf.entries:
+        for e in buf:
             age = t - e.t_exit
             if not (0.0 <= age < m.dt_window):
                 continue
-            if e.global_id in excluded:
+            if e.global_id in exclude_gids:
                 continue
             if m.eps_dist is not None:
                 if pos is None or e.pos is None:
@@ -323,7 +350,7 @@ class HandoverEngine:
     ) -> Optional[BufferEntry]:
         """Consume and return the best parked identity for one buffer."""
         buf = self.buffer(edge_key, zone)
-        found = self._scan(buf, t, y_rel, pos, heading, exclude_gids)
+        found = self._scan(buf, t, y_rel, pos, heading, set(exclude_gids))
         if found is None:
             return None
         buf.remove(found[1])
@@ -370,14 +397,22 @@ class HandoverEngine:
     # -- snapshot processing -------------------------------------------------
 
     def process_snapshot(self, snap: Snapshot) -> list[HandoverEvent]:
-        if self._last_frame is not None and snap.frame_index <= self._last_frame:
-            raise CausalityError(
-                f"snapshot frame {snap.frame_index} is not after {self._last_frame}"
-            )
+        if self._last_frame is not None:
+            if snap.frame_index <= self._last_frame:
+                raise CausalityError(
+                    f"snapshot frame {snap.frame_index} is not after {self._last_frame}"
+                )
+            # buffers and record retirement rely on time never going back
+            if snap.t < self._last_t:
+                raise CausalityError(
+                    f"snapshot frame {snap.frame_index} at t={snap.t} is before "
+                    f"t={self._last_t}"
+                )
         self._last_frame = snap.frame_index
+        self._last_t = snap.t
         out: list[HandoverEvent] = []
         cams = sorted(snap.per_camera)
-        ordered: list[tuple[int, TrackState]] = []
+        visible: list[tuple[int, TrackState]] = []
         for cam in cams:
             seen: set[int] = set()
             for st in sorted(snap.per_camera[cam], key=lambda s: s.local_id):
@@ -387,50 +422,49 @@ class HandoverEngine:
                         f"in frame {snap.frame_index}"
                     )
                 seen.add(st.local_id)
-                ordered.append((cam, st))
+                visible.append((cam, st))
 
-        # kinematics first: every visible track gets an updated estimate
-        for cam, st in ordered:
+        # kinematics first: every visible track gets an updated estimate;
+        # a touched record moves to the back, so records stay in last_t order
+        records = self._records
+        k = self.kinematics.speed_window
+        stop_threshold = self.kinematics.stop_threshold_m
+        stop_speed = self.kinematics.stop_speed_kmh
+        ordered: list[tuple[int, TrackState, _TrackRecord]] = []
+        for cam, st in visible:
             key = (cam, st.local_id)
-            rec = self._records.get(key)
+            rec = records.pop(key, None)
             if rec is None:
-                rec = _TrackRecord()
-                self._records[key] = rec
-            elif rec.last_frame is not None and snap.frame_index != rec.last_frame + 1:
+                rec = _TrackRecord(px_hist=deque(maxlen=k + 1))
+            elif snap.frame_index != rec.last_frame + 1:
                 rec.px_hist.clear()  # a gap breaks the uniform-step speed window
                 rec.last_pos = None
+            records[key] = rec
             rec.px_hist.append(st.pos_px)
-            k = self.kinematics.speed_window
-            while len(rec.px_hist) > k + 1:
-                rec.px_hist.popleft()
-            cal = self.topology.node(cam).calibration
             speed = None
-            if len(rec.px_hist) >= k + 1:
-                speed = estimate_speed(list(rec.px_hist), cal, k)
+            if len(rec.px_hist) > k:
+                speed = estimate_speed(rec.px_hist, self._calibration[cam], k)
             if rec.last_pos is not None:
-                heading = estimate_heading(
-                    rec.last_pos, st.pos, rec.heading, self.kinematics.stop_threshold_m
-                )
+                heading = estimate_heading(rec.last_pos, st.pos, rec.heading, stop_threshold)
             else:
                 heading = rec.heading
             status = None
             if speed is not None:
-                status = motion_status(speed, self.kinematics.stop_speed_kmh)
+                status = motion_status(speed, stop_speed)
             rec.kin = KinematicState(speed, heading, status)
             rec.heading = heading
             rec.last_pos = st.pos
             rec.last_t = snap.t
             rec.last_frame = snap.frame_index
+            ordered.append((cam, st, rec))
 
         live: dict[int, set[int]] = {cam: set() for cam in cams}
-        for cam, st in ordered:
-            gid = self._records[(cam, st.local_id)].global_id
-            if gid is not None:
-                live[cam].add(gid)
+        for cam, _, rec in ordered:
+            if rec.global_id is not None:
+                live[cam].add(rec.global_id)
 
         # identified tracks inside a trigger region park their id downstream
-        for cam, st in ordered:
-            rec = self._records[(cam, st.local_id)]
+        for cam, st, rec in ordered:
             if rec.global_id is None:
                 continue
             kin = rec.kin
@@ -468,8 +502,7 @@ class HandoverEngine:
                 )
 
         # unidentified tracks inherit a parked id or mint a fresh one
-        for cam, st in ordered:
-            rec = self._records[(cam, st.local_id)]
+        for cam, st, rec in ordered:
             if rec.global_id is not None:
                 continue
             kin = rec.kin
@@ -530,20 +563,28 @@ class HandoverEngine:
         # timeout sweep
         out.extend(self._sweep_buffers(snap.t, snap.frame_index))
 
-        # grow trajectories with the enriched states
-        for cam, st in ordered:
-            rec = self._records[(cam, st.local_id)]
-            traj = self.trajectories.get(rec.global_id)
+        # one output row per observation
+        for cam, st, rec in ordered:
+            gid = rec.global_id
+            traj = self.trajectories.get(gid)
             if traj is None:
-                traj = GlobalTrajectory(global_id=rec.global_id)
-                self.trajectories[rec.global_id] = traj
-            traj.states.append(replace(st, kin=rec.kin, global_id=rec.global_id))
+                traj = GlobalTrajectory(global_id=gid)
+                self.trajectories[gid] = traj
+            kin = rec.kin
+            traj.states.append(
+                TrajRow(
+                    gid, snap.frame_index, st.camera_id, st.local_id, st.t, st.pos.x, st.pos.y,
+                    kin.speed_kmh, kin.heading_rad, _STATUS_VALUE[kin.status],
+                )
+            )
 
         # forget tracks gone long enough that their id can never resurface
         horizon = 2.0 * self.matcher.eps_time
-        stale = [k for k, r in self._records.items() if snap.t - r.last_t > horizon]
-        for k in stale:
-            del self._records[k]
+        while records:
+            key = next(iter(records))
+            if snap.t - records[key].last_t <= horizon:
+                break
+            del records[key]
 
         for ev in out:
             self.counts[ev.kind.value] += 1

@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from .formats import (
-    TrajRow,
     dump_json,
     load_json,
     meta_from_dict,
@@ -49,6 +48,7 @@ from .metrics import (
 from .simulator import ScenarioConfig, SimResult, TrueHandover, TruthObs, run_sim
 from .sync import BarrierConfig, StreamUpdate, SyncBarrier
 from .topology import TopologyGraph
+from .tracks import TrajRow
 
 OBSERVATIONS = "observations.csv"
 TRAJECTORIES = "trajectories.csv"
@@ -76,26 +76,14 @@ class StitchResult:
         return self.engine.events
 
     def trajectory_rows(self, frame_rate: float) -> list[TrajRow]:
-        rows = []
-        for gid in sorted(self.engine.trajectories):
-            traj = self.engine.trajectories[gid]
-            for st in traj.states:
-                kin = st.kin
-                rows.append(
-                    TrajRow(
-                        global_id=gid,
-                        frame_index=int(round(st.t * frame_rate)),
-                        camera_id=st.camera_id,
-                        local_id=st.local_id,
-                        t=st.t,
-                        x_m=st.pos.x,
-                        y_m=st.pos.y,
-                        speed_kmh=kin.speed_kmh if kin else None,
-                        heading_rad=kin.heading_rad if kin else None,
-                        status=kin.status.value if kin and kin.status else None,
-                    )
-                )
-        return rows
+        """Every stitched observation, in global-id order.
+
+        The engine already stores one ``TrajRow`` per observation, stamped
+        with its snapshot's frame index, so ``frame_rate`` is not needed; it
+        stays in the signature for existing callers.
+        """
+        trajs = self.engine.trajectories
+        return [row for gid in sorted(trajs) for row in trajs[gid].states]
 
 
 def stitch_updates(

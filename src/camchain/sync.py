@@ -84,7 +84,9 @@ class SyncBarrier:
     def __init__(self, cfg: BarrierConfig) -> None:
         self.cfg = cfg
         self._lock = threading.Lock()
+        self._cams = sorted(cfg.camera_ids)
         self._pending: dict[int, dict[int, StreamUpdate]] = {c: {} for c in cfg.camera_ids}
+        self._pending_total = 0
         self._last_ingested: dict[int, int] = {c: -1 for c in cfg.camera_ids}
         self._frames: set[int] = set()
         self._released_frame = -1
@@ -110,20 +112,19 @@ class SyncBarrier:
             self._pending[cam][update.frame_index] = update
             self._frames.add(update.frame_index)
             self.stats.ingested += 1
-            pending_total = sum(len(d) for d in self._pending.values())
-            if pending_total > self.stats.peak_pending:
-                self.stats.peak_pending = pending_total
+            self._pending_total += 1
+            if self._pending_total > self.stats.peak_pending:
+                self.stats.peak_pending = self._pending_total
 
     def try_release(self) -> Optional[Snapshot]:
         with self._lock:
             if not self._frames:
                 return None
             frame = min(self._frames)
-            fastest = max(self._last_ingested.values())
             per_camera: dict[int, tuple[TrackState, ...]] = {}
             stalled: set[int] = set()
             t_val: Optional[float] = None
-            for cam in sorted(self.cfg.camera_ids):
+            for cam in self._cams:
                 upd = self._pending[cam].get(frame)
                 if upd is not None:
                     per_camera[cam] = upd.tracks
@@ -135,14 +136,18 @@ class SyncBarrier:
                         )
                 elif self._last_ingested[cam] > frame:
                     per_camera[cam] = ()
-                elif self.cfg.max_lag is not None and fastest - frame > self.cfg.max_lag:
+                elif (
+                    self.cfg.max_lag is not None
+                    and max(self._last_ingested.values()) - frame > self.cfg.max_lag
+                ):
                     per_camera[cam] = ()
                     stalled.add(cam)
                 else:
                     return None
             assert t_val is not None  # at least one camera delivered this frame
-            for cam in self.cfg.camera_ids:
-                self._pending[cam].pop(frame, None)
+            for cam in self._cams:
+                if self._pending[cam].pop(frame, None) is not None:
+                    self._pending_total -= 1
             self._frames.discard(frame)
             self._released_frame = frame
             self.stats.released += 1
@@ -165,4 +170,4 @@ class SyncBarrier:
     @property
     def pending_count(self) -> int:
         with self._lock:
-            return sum(len(d) for d in self._pending.values())
+            return self._pending_total

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .geometry import Point2
-from .kinematics import KinematicState
 
 
 @dataclass(frozen=True)
@@ -14,8 +13,7 @@ class TrackState:
     """One observation of one per-camera track.
 
     ``pos`` is the metric ground-plane position, ``pos_px`` the same point in
-    the camera's pixel frame. ``kin`` and ``global_id`` start empty and are
-    filled by the handover engine.
+    the camera's pixel frame.
     """
 
     t: float
@@ -23,8 +21,25 @@ class TrackState:
     local_id: int
     pos: Point2
     pos_px: Point2
-    kin: Optional[KinematicState] = None
-    global_id: Optional[int] = None
+
+
+class TrajRow(NamedTuple):
+    """One stitched observation: a global id plus the engine's kinematics.
+
+    The engine appends one per observation to ``GlobalTrajectory.states``;
+    ``trajectories.csv`` stores the same record, one row each.
+    """
+
+    global_id: int
+    frame_index: int
+    camera_id: int
+    local_id: int
+    t: float
+    x_m: float
+    y_m: float
+    speed_kmh: Optional[float]
+    heading_rad: Optional[float]
+    status: Optional[str]
 
 
 @dataclass
@@ -56,14 +71,14 @@ class LocalTracklet:
 
 @dataclass
 class GlobalTrajectory:
-    """All states stitched under one global identity, across cameras.
+    """All observations stitched under one global identity, across cameras.
 
     Time-ordered; inside an overlap two cameras may report the same instant,
     so ties are broken by camera id.
     """
 
     global_id: int
-    states: list[TrackState] = field(default_factory=list)
+    states: list[TrajRow] = field(default_factory=list)
 
     def sort(self) -> None:
         self.states.sort(key=lambda s: (s.t, s.camera_id, s.local_id))

@@ -197,6 +197,47 @@ class TestSnapshotValidation:
             eng.process_snapshot(snap(0, {1: [(1, 6.0, -2.0)]}))
         eng.process_snapshot(snap(5, {1: [(1, 6.0, -2.0)]}))  # gaps are fine
 
+    def test_time_must_not_go_back(self):
+        eng = make_engine()
+        tr = ts(1, 1, 0.5, 5.0, -2.0)
+        eng.process_snapshot(Snapshot(frame_index=5, t=0.5, per_camera={1: (tr,)}))
+        eng.process_snapshot(Snapshot(frame_index=6, t=0.5, per_camera={1: ()}))  # equal is fine
+        with pytest.raises(CausalityError, match="before"):
+            eng.process_snapshot(Snapshot(frame_index=7, t=0.4, per_camera={1: ()}))
+
+
+class TestRecordRetirement:
+    """A (camera, local id) silent for more than 2 * eps_time is forgotten."""
+
+    def run(self, back):
+        """lid 1 is seen every frame, lid 2 at frame 0 and again at ``back``."""
+        # horizon 2 * eps_time = 2 s = 20 frames
+        g = chain_graph([(0.0, 20.0)], [])
+        eng = HandoverEngine(g, MatcherConfig(dt_window=1.0, eps_time=1.0))
+        for f in range(back + 1):
+            tracks = [(1, 0.1 * f, -2.0)]
+            if f in (0, back):
+                tracks.append((2, 5.0, -2.0))
+            eng.process_snapshot(snap(f, {1: tracks}))
+        return {(e.local_id, e.frame_index): e.global_id
+                for e in eng.events if e.kind is EventKind.NEW_IDENTITY}
+
+    def test_long_silence_mints_a_new_gid(self):
+        assert self.run(25) == {(1, 0): 1, (2, 0): 2, (2, 25): 3}  # back 2.5 s later
+
+    def test_short_silence_keeps_the_gid(self):
+        assert self.run(15) == {(1, 0): 1, (2, 0): 2}  # back 1.5 s later
+
+
+class TestBufferOrder:
+    def test_push_must_not_go_back_in_time(self):
+        buf = make_engine().buffer((1, 2), Zone.UPPER)
+        buf.push(BufferEntry(global_id=5, camera_id=1, local_id=1, t_exit=2.0, y_rel=0.5, seq=1))
+        buf.push(BufferEntry(global_id=6, camera_id=1, local_id=2, t_exit=2.0, y_rel=0.5, seq=2))
+        with pytest.raises(CausalityError, match="before"):
+            buf.push(BufferEntry(global_id=7, camera_id=1, local_id=3, t_exit=1.9, y_rel=0.5, seq=3))
+        assert [e.global_id for e in buf.entries] == [5, 6]
+
 
 class TestTopologyShape:
     def test_buffer_count_two_per_edge(self):
@@ -243,11 +284,11 @@ class TestEndToEnd:
         eng = HandoverEngine(g)
         drive(eng, g, {"a": (0.0, -2.0, 1.0, {1: 1, 2: 1})}, frames=31)
         states = eng.trajectories[1].states
-        assert states[0].kin.heading_rad is None  # no displacement yet
-        assert states[1].kin.heading_rad == 0.0
-        assert states[0].kin.speed_kmh is None  # window not filled
+        assert states[0].heading_rad is None  # no displacement yet
+        assert states[1].heading_rad == 0.0
+        assert states[0].speed_kmh is None  # window not filled
         # 1 m per frame at 10 fps
-        assert abs(states[10].kin.speed_kmh - 36.0) < 1e-6
+        assert abs(states[10].speed_kmh - 36.0) < 1e-6
         assert all(s.global_id == 1 for s in states)
 
     def test_single_westbound_crossing(self):

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given
@@ -172,4 +174,37 @@ class TestOrderingProperties:
         got = sum(len(tr) for s in released for tr in s.per_camera.values())
         assert got == sent
         assert b.stats.ingested == sum(len(q) for q in queues)
+        assert b.pending_count == 0
+
+
+class TestThreadSafety:
+    def test_concurrent_producers(self):
+        """One producer thread per camera, each releasing what it can."""
+        cams, n_frames = (1, 2, 3, 4), 1000
+        b = barrier(cams=cams)
+        released = []
+
+        def produce(cam):
+            for f in range(n_frames):
+                b.ingest(upd(cam, f, n_tracks=1))
+                released.extend(b.drain())
+
+        threads = [threading.Thread(target=produce, args=(c,)) for c in cams]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        released.extend(b.drain())
+        assert sorted(s.frame_index for s in released) == list(range(n_frames))
+        assert all(len(s.per_camera[c]) == 1 for s in released for c in cams)
+        delivered = len(cams) * n_frames
+        assert b.stats.ingested == delivered
+        assert b.stats.released == n_frames
+        assert b.stats.peak_pending <= delivered
         assert b.pending_count == 0

@@ -15,7 +15,6 @@ def test_track_state_is_frozen():
 
 def test_track_state_defaults_empty():
     st = ts(1, 1, 0.0, 5.0, -2.0)
-    assert st.kin is None and st.global_id is None
     assert st.pos == Point2(5.0, -2.0)
     assert st.pos_px == Point2(100.0, -40.0)
 
