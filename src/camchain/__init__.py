@@ -87,7 +87,7 @@ from .simulator import (
 )
 from .sync import BarrierConfig, Snapshot, StreamUpdate, SyncBarrier
 from .topology import CameraNode, EdgeDef, TopologyGraph, edge_is_entry, edge_is_exit
-from .tracks import GlobalTrajectory, LocalTracklet, TrackState
+from .tracks import GlobalTrajectory, TrackState
 
 __version__ = "0.1.0"
 
@@ -109,7 +109,6 @@ __all__ = [
     "InsufficientHistoryError",
     "KinematicState",
     "KinematicsConfig",
-    "LocalTracklet",
     "MalformedInputError",
     "MatchStrategy",
     "MatcherConfig",

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ConfigError, MalformedInputError, ParseError
 from .geometry import Point2, Polygon, RoadFrame, Zone
@@ -376,7 +377,8 @@ def _parse_int(s: str, path, line: int) -> int:
         raise MalformedInputError(f"{path}:{line}: bad integer {s!r}") from None
 
 
-def _read_rows(path: str | Path, header: Sequence[str]) -> list[tuple[int, list[str]]]:
+def _read_rows(path: str | Path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line_no, cells)`` per non-empty data line, one line at a time."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise MalformedInputError(f"{path}: empty file")
@@ -384,8 +386,7 @@ def _read_rows(path: str | Path, header: Sequence[str]) -> list[tuple[int, list[
         raise MalformedInputError(
             f"{path}:1: bad header {lines[0]!r}, expected {','.join(header)!r}"
         )
-    out = []
-    for i, line in enumerate(lines[1:], start=2):
+    for i, line in enumerate(islice(lines, 1, None), start=2):
         if not line:
             continue
         cells = line.split(",")
@@ -393,8 +394,7 @@ def _read_rows(path: str | Path, header: Sequence[str]) -> list[tuple[int, list[
             raise MalformedInputError(
                 f"{path}:{i}: expected {len(header)} fields, got {len(cells)}"
             )
-        out.append((i, cells))
-    return out
+        yield i, cells
 
 
 class ObsRow(NamedTuple):

@@ -23,12 +23,16 @@ ObsKey = tuple[int, int, int]  # (frame_index, camera_id, local_id)
 def gid_index(
     trajectories: Iterable[GlobalTrajectory], frame_rate: float
 ) -> dict[ObsKey, int]:
-    """Map every stitched observation to its assigned global id."""
+    """Map every stitched observation to its assigned global id.
+
+    Each row carries the frame index of its snapshot, so ``frame_rate`` is
+    not needed; it stays in the signature for existing callers.
+    """
     out: dict[ObsKey, int] = {}
     for traj in trajectories:
-        for st in traj.states:
-            frame = int(round(st.t * frame_rate))
-            out[(frame, st.camera_id, st.local_id)] = traj.global_id
+        gid = traj.global_id
+        for row in traj.states:
+            out[(row.frame_index, row.camera_id, row.local_id)] = gid
     return out
 
 

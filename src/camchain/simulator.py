@@ -16,18 +16,22 @@ and delivery jitter. Local track ids are per camera and survive only
 unbroken runs of consecutive frames, so a dropout fragments the track.
 
 Every random draw comes from its own purpose-keyed generator seeded as
-``f"{seed}/{purpose}"``, and draws are consumed for every candidate even
-when the outcome is "no change", so toggling one noise knob never shifts
-another stream.
+``f"{seed}/{purpose}"``, so toggling one noise knob never shifts another
+stream. A stream whose knob is zero is never drawn from; a non-zero knob
+consumes its draws for every candidate, even when the outcome is "no
+change", so a dropped vehicle still uses up its noise pair.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple, Optional
+from operator import attrgetter
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import ConfigError
 from .geometry import Point2, Polygon, RoadFrame
@@ -362,6 +366,27 @@ class _Vehicle:
     spawn_t: float = 0.0
 
 
+def in_footprint(
+    by_x: Sequence[_Vehicle], xs: Sequence[float], a: float, b: float, shift: float
+) -> list[tuple[_Vehicle, float]]:
+    """The vehicles a camera sees, by vid, each with its drift-corrected x.
+
+    ``by_x`` holds the live vehicles sorted by ``x`` and ``xs`` their ``x``
+    values. A vehicle is seen when ``a <= x - shift <= b``. The bisection
+    only narrows the candidates, with a 1 m margin because ``x >= a + shift``
+    and ``x - shift >= a`` can round differently; the test itself is exact.
+    """
+    lo = bisect_left(xs, a + shift - 1.0)
+    hi = bisect_right(xs, b + shift + 1.0)
+    hits = []
+    for v in by_x[lo:hi]:
+        rx = v.x - shift
+        if a <= rx <= b:
+            hits.append((v, rx))
+    hits.sort(key=lambda h: h[0].vid)
+    return hits
+
+
 def _stream(seed: int, purpose: str) -> random.Random:
     return random.Random(f"{seed}/{purpose}")
 
@@ -412,7 +437,8 @@ class World:
         self._drop_rng = {n.id: _stream(seed, f"dropout/{n.id}") for n in self.topology.nodes}
         self._noise_rng = {n.id: _stream(seed, f"pos_noise/{n.id}") for n in self.topology.nodes}
         self._plan_by_vid = {p.vid: p for p in self._pending}
-        self.raw_updates: list[StreamUpdate] = []
+        # (camera, frame, t, tracks) per camera and frame, in frame order
+        self._reports: list[tuple[int, int, float, tuple[TrackState, ...]]] = []
         self.truth_obs: list[TruthObs] = []
         # congestion defaults: a stop wave in the middle of the corridor
         self._wave_zone = cfg.wave_zone
@@ -641,29 +667,30 @@ class World:
     def _observe(self, f: int, t_report: float) -> None:
         cfg = self.cfg
         lam = cfg.m_per_px
+        rate = cfg.noise.dropout_rate
+        sigma = cfg.noise.pos_sigma_px
+        by_x = sorted(self.alive, key=attrgetter("x"))
+        xs = [v.x for v in by_x]
         for node in self.topology.nodes:
             cam = node.id
             a, b = cfg.fov_bounds(cam - 1)
-            shift = self._drift(cam, t_report)
-            visible = []
-            for v in sorted(self.alive, key=lambda v: v.vid):
-                rx = v.x - shift
-                if a <= rx <= b:
-                    visible.append((v, rx))
             drop = self._drop_rng[cam]
             noise = self._noise_rng[cam]
             res = self._residency[cam]
             tracks = []
-            for v, rx in visible:
-                # one dropout draw and one noise pair per visible vehicle,
-                # consumed even when unused, so streams stay aligned
-                r = drop.random()
-                nx = noise.gauss(0.0, 1.0)
-                ny = noise.gauss(0.0, 1.0)
-                if r < cfg.noise.dropout_rate:
+            for v, rx in in_footprint(by_x, xs, a, b, self._drift(cam, t_report)):
+                # a non-zero knob draws for every visible vehicle, used or
+                # not, so its stream stays aligned; a zero knob never draws
+                r = drop.random() if rate else 1.0
+                if sigma:
+                    nx = noise.gauss(0.0, 1.0)
+                    ny = noise.gauss(0.0, 1.0)
+                else:
+                    nx = ny = 0.0
+                if r < rate:
                     continue
-                px = rx / lam + nx * cfg.noise.pos_sigma_px
-                py = v.y / lam + ny * cfg.noise.pos_sigma_px
+                px = rx / lam + nx * sigma
+                py = v.y / lam + ny * sigma
                 prev = res.get(v.vid)
                 if prev is not None and prev[1] == f - 1:
                     lid = prev[0]
@@ -673,19 +700,15 @@ class World:
                 res[v.vid] = (lid, f)
                 tracks.append(
                     TrackState(
-                        t=t_report,
-                        camera_id=cam,
-                        local_id=lid,
-                        pos=Point2(round(px * lam, 6), round(py * lam, 6)),
-                        pos_px=Point2(round(px, 6), round(py, 6)),
+                        t_report,
+                        cam,
+                        lid,
+                        Point2(round(px * lam, 6), round(py * lam, 6)),
+                        Point2(round(px, 6), round(py, 6)),
                     )
                 )
                 self.truth_obs.append(TruthObs(f, cam, lid, v.vid))
-            self.raw_updates.append(
-                StreamUpdate(
-                    camera_id=cam, frame_index=f, t=t_report, tracks=tuple(tracks)
-                )
-            )
+            self._reports.append((cam, f, t_report, tuple(tracks)))
 
     # -- driver -----------------------------------------------------------------
 
@@ -699,8 +722,15 @@ class World:
         self._observe(f, round(t, 6))
 
     def run(self) -> SimResult:
-        for _ in range(self.frame_count):
-            self.step()
+        # The frame loop builds an acyclic result, so the cyclic GC would only rescan it.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for _ in range(self.frame_count):
+                self.step()
+        finally:
+            if gc_was_enabled:
+                gc.enable()
         t_end = self.cfg.duration_s
         for v in self.alive:
             self._despawned.setdefault(v.vid, t_end)
@@ -735,23 +765,17 @@ class World:
         rngs = {n.id: _stream(self.seed, f"sync_jitter/{n.id}") for n in self.topology.nodes}
         floor = {n.id: -1 for n in self.topology.nodes}
         keyed = []
-        for u in self.raw_updates:
+        for cam, f, t, tracks in self._reports:
             if j > 0:
-                arrival = max(floor[u.camera_id], u.frame_index + rngs[u.camera_id].randint(0, j))
-                floor[u.camera_id] = arrival
+                arrival = max(floor[cam], f + rngs[cam].randint(0, j))
+                floor[cam] = arrival
             else:
-                arrival = u.frame_index
-            keyed.append((arrival, u.camera_id, u.frame_index, u))
+                arrival = f
+            keyed.append((arrival, cam, f, t, tracks))
         keyed.sort(key=lambda k: k[:3])
         return [
-            StreamUpdate(
-                camera_id=u.camera_id,
-                frame_index=u.frame_index,
-                t=u.t,
-                tracks=u.tracks,
-                arrival_seq=i,
-            )
-            for i, (_, _, _, u) in enumerate(keyed)
+            StreamUpdate(cam, f, t, tracks, i)
+            for i, (_, cam, f, t, tracks) in enumerate(keyed)
         ]
 
     def _true_handovers(self) -> list[TrueHandover]:

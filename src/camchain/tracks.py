@@ -8,8 +8,7 @@ from typing import NamedTuple, Optional
 from .geometry import Point2
 
 
-@dataclass(frozen=True)
-class TrackState:
+class TrackState(NamedTuple):
     """One observation of one per-camera track.
 
     ``pos`` is the metric ground-plane position, ``pos_px`` the same point in
@@ -43,33 +42,6 @@ class TrajRow(NamedTuple):
 
 
 @dataclass
-class LocalTracklet:
-    """A single camera's contiguous track: time-ordered states, one local id."""
-
-    camera_id: int
-    local_id: int
-    states: list[TrackState] = field(default_factory=list)
-
-    def append(self, state: TrackState) -> None:
-        if state.camera_id != self.camera_id or state.local_id != self.local_id:
-            raise ValueError(
-                f"state ({state.camera_id}, {state.local_id}) does not belong to "
-                f"tracklet ({self.camera_id}, {self.local_id})"
-            )
-        if self.states and state.t <= self.states[-1].t:
-            raise ValueError("tracklet states must be strictly time-ordered")
-        self.states.append(state)
-
-    @property
-    def t_start(self) -> float:
-        return self.states[0].t
-
-    @property
-    def t_end(self) -> float:
-        return self.states[-1].t
-
-
-@dataclass
 class GlobalTrajectory:
     """All observations stitched under one global identity, across cameras.
 
@@ -79,9 +51,6 @@ class GlobalTrajectory:
 
     global_id: int
     states: list[TrajRow] = field(default_factory=list)
-
-    def sort(self) -> None:
-        self.states.sort(key=lambda s: (s.t, s.camera_id, s.local_id))
 
     @property
     def cameras(self) -> tuple[int, ...]:

@@ -13,8 +13,8 @@ from camchain.metrics import (
     summarize_throughput,
 )
 from camchain.simulator import TrueHandover, TruthObs
-from camchain.tracks import GlobalTrajectory
-from helpers import idf1_oracle, ts
+from camchain.tracks import GlobalTrajectory, TrajRow
+from helpers import idf1_oracle
 
 
 def one_track(n=10, vid=1, cam=1, lid=1):
@@ -189,11 +189,14 @@ class TestHosr:
 
 class TestGidIndex:
     def test_uses_rounded_frame_numbers(self):
+        # each row's t rounds to another frame; the stored frame_index wins
+        def row(gid, frame, cam, lid, t):
+            return TrajRow(gid, frame, cam, lid, t, 0.0, -2.0, None, None, None)
+
         traj = GlobalTrajectory(
-            global_id=9,
-            states=[ts(1, 4, 0.3, 1.0, -2.0), ts(2, 6, 0.5, 2.0, -2.0)],
+            global_id=9, states=[row(9, 3, 1, 4, 0.7), row(9, 5, 2, 6, 0.1)]
         )
-        other = GlobalTrajectory(global_id=11, states=[ts(1, 5, 0.3, 3.0, -2.0)])
+        other = GlobalTrajectory(global_id=11, states=[row(11, 3, 1, 5, 0.44)])
         idx = gid_index([traj, other], frame_rate=10.0)
         assert idx == {(3, 1, 4): 9, (5, 2, 6): 9, (3, 1, 5): 11}
 

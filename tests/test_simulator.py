@@ -1,6 +1,10 @@
+import gc
 import math
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from camchain.errors import ConfigError
 from camchain.handover import HandoverEngine
@@ -11,7 +15,9 @@ from camchain.simulator import (
     Regime,
     ScenarioConfig,
     ScriptedVehicle,
+    World,
     build_topology,
+    in_footprint,
     run_sim,
 )
 
@@ -348,3 +354,86 @@ class TestMergeDiverge:
         assert any(hops.get(v) == [(2, 3)] for v, k in kind.items() if k == "entrant")
         cam1_vids = {o.vehicle_id for o in sim.truth_obs if o.camera_id == 1}
         assert all(kind[v] != "entrant" for v in cam1_vids)
+
+
+def reference_scan(cars, a, b, shift):
+    """Every car in vid order, kept when its drift-corrected x lies in [a, b]."""
+    out = []
+    for v in sorted(cars, key=lambda v: v.vid):
+        rx = v.x - shift
+        if a <= rx <= b:
+            out.append((v, rx))
+    return out
+
+
+@st.composite
+def footprint_cases(draw):
+    a = draw(st.floats(-200.0, 2000.0))
+    b = a + draw(st.floats(0.0, 300.0))
+    shift = draw(st.one_of(st.just(0.0), st.floats(-30.0, 30.0)))
+    edges = [a, b, a + shift, b + shift]
+    edges += [math.nextafter(e, d) for e in edges for d in (-math.inf, math.inf)]
+    xs = draw(
+        st.lists(
+            st.one_of(st.floats(a - 40.0, b + 40.0), st.sampled_from(edges)),
+            max_size=25,
+        )
+    )
+    vids = draw(st.permutations(range(1, len(xs) + 1)))
+    cars = [SimpleNamespace(vid=vid, x=x) for vid, x in zip(vids, xs)]
+    return cars, a, b, shift
+
+
+class TestFootprintSelection:
+    @given(footprint_cases())
+    def test_matches_the_full_scan(self, case):
+        cars, a, b, shift = case
+        by_x = sorted(cars, key=lambda v: v.x)
+        got = in_footprint(by_x, [v.x for v in by_x], a, b, shift)
+        assert got == reference_scan(cars, a, b, shift)
+
+    # x < a + shift yet x - shift == a, and x > b + shift yet x - shift == b:
+    # the bisection bounds alone would drop both cars
+    @pytest.mark.parametrize(
+        "a, b, x", [(65.0, 90.0, 39.99999999999999), (40.0, 65.0, 40.00000000000001)]
+    )
+    def test_the_exact_test_decides_at_a_rounded_border(self, a, b, x):
+        car = SimpleNamespace(vid=1, x=x)
+        got = in_footprint([car], [x], a, b, -25.0)
+        assert got == reference_scan([car], a, b, -25.0) == [(car, 65.0)]
+
+
+class TestGcPause:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_run_sim_leaves_gc_as_it_found_it(self, enabled, monkeypatch):
+        seen = []
+        step = World.step
+
+        def spy(self):
+            seen.append(gc.isenabled())
+            step(self)
+
+        monkeypatch.setattr(World, "step", spy)
+        if not enabled:
+            gc.disable()
+        try:
+            run_sim(quiet(duration_s=1.0), 1)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert seen and not any(seen)  # paused for the whole frame loop
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_a_failing_step_still_restores_gc(self, enabled, monkeypatch):
+        def boom(self):
+            raise RuntimeError("step failed")
+
+        monkeypatch.setattr(World, "step", boom)
+        if not enabled:
+            gc.disable()
+        try:
+            with pytest.raises(RuntimeError, match="step failed"):
+                run_sim(quiet(duration_s=1.0), 1)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
