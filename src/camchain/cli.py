@@ -234,14 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_flags(p)
     p.add_argument("--seed", type=int, required=True, help="simulation seed")
     p.add_argument("--out-dir", required=True, metavar="DIR")
-    p.add_argument("--format", choices=["csv"], default="csv", help="table format")
 
     p = add("stitch", _cmd_stitch, "stitch observations into global trajectories")
     p.add_argument("--in-dir", required=True, metavar="DIR",
                    help="directory with observations.csv, topology.json, meta.json")
     p.add_argument("--topology", metavar="PATH", help="topology JSON override")
     p.add_argument("--out-dir", metavar="DIR", help="output directory (default: --in-dir)")
-    p.add_argument("--format", choices=["csv"], default="csv", help="table format")
     _add_matcher_flags(p)
 
     p = add("evaluate", _cmd_evaluate, "score trajectories against truth")
@@ -254,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_matcher_flags(p)
     p.add_argument("--seed", type=int, required=True, help="simulation seed")
     p.add_argument("--out-dir", required=True, metavar="DIR")
-    p.add_argument("--format", choices=["csv"], default="csv", help="table format")
 
     p = add("bench", _cmd_bench, "timed stitching run")
     _add_scenario_flags(p)

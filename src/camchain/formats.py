@@ -2,22 +2,27 @@
 
 JSON syntax problems raise ParseError with the offending line and column;
 schema problems (unknown or missing keys, wrong types) raise ConfigError
-naming the JSON path. CSV rows are joined manually with fixed six-decimal
-floats and the literal ``NA`` for absent values, so a write/read/write
-round trip is byte-identical. Observation files must be sorted by
-``(frame_index, camera_id, local_id)`` and readers reject files that are
-not.
+naming the JSON path. Each CSV file is one ``Table``: its columns are the
+fields of a row type, each with a codec (fixed six-decimal floats, the
+literal ``NA`` for absent values), so a write/read/write round trip is
+byte-identical. ``read_table`` rejects, with ``path:line``, any file that
+is not UTF-8, has a wrong header or field count, holds a cell its column
+cannot parse, a non-finite number or a value outside a closed vocabulary,
+or whose rows do not strictly increase in the table's key.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import gc
 import json
 import math
 from itertools import islice
+from operator import attrgetter, itemgetter, lt
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, get_type_hints
 
-from .errors import ConfigError, MalformedInputError, ParseError
+from .errors import CamchainError, ConfigError, MalformedInputError, ParseError
 from .geometry import Point2, Polygon, RoadFrame, Zone
 from .handover import EventKind, HandoverEvent, MatcherConfig, MatchStrategy
 from .kinematics import Calibration, MotionStatus
@@ -40,8 +45,17 @@ NA = "NA"
 # -- JSON ----------------------------------------------------------------------
 
 
+def _decode(path: str | Path, error: type[CamchainError]) -> str:
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        raise error(f"{path}:{line}: not UTF-8 ({e.reason} at byte {e.start})") from None
+
+
 def load_json(path: str | Path):
-    text = Path(path).read_text(encoding="utf-8")
+    text = _decode(path, ParseError)
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
@@ -81,10 +95,26 @@ def _int(v, ctx: str) -> int:
     return v
 
 
-def _point(v, ctx: str) -> Point2:
+def _str(v, ctx: str) -> str:
+    if not isinstance(v, str):
+        raise ConfigError(f"{ctx}: expected a string, got {v!r}")
+    return v
+
+
+def _list(v, ctx: str) -> list:
+    if not isinstance(v, list):
+        raise ConfigError(f"{ctx}: expected a list, got {type(v).__name__}")
+    return v
+
+
+def _pair(v, ctx: str) -> tuple[float, float]:
     if not (isinstance(v, list) and len(v) == 2):
-        raise ConfigError(f"{ctx}: expected [x, y], got {v!r}")
-    return Point2(_num(v[0], f"{ctx}[0]"), _num(v[1], f"{ctx}[1]"))
+        raise ConfigError(f"{ctx}: expected a pair of numbers, got {v!r}")
+    return _num(v[0], f"{ctx}[0]"), _num(v[1], f"{ctx}[1]")
+
+
+def _point(v, ctx: str) -> Point2:
+    return Point2(*_pair(v, ctx))
 
 
 def _polygon(v, ctx: str) -> Polygon:
@@ -223,178 +253,237 @@ def parse_topology(path: str | Path) -> tuple[TopologyGraph, MatcherConfig]:
     return graph, MatcherConfig()
 
 
-_SCENARIO_KEYS = [
-    "name", "regime", "duration_s", "frame_rate", "n_cameras", "cam_spacing_m",
-    "overlap_m", "blind_gap_m", "lanes_per_dir", "lane_width_m", "m_per_px",
-    "flow_east_vpm", "flow_west_vpm", "speed_mean_kmh", "speed_std_kmh",
-    "min_headway_s", "scripted_vehicles", "wave_zone", "wave_windows",
-    "merge_pos_m", "merge_rate_vpm", "diverge_frac", "overtake_pairs",
-    "pair_spacing_s", "noise", "drift_amplitude_m", "drift_period_s",
-]
+# checks of a declared scalar type; they return the value converted
+_SCALAR_CHECKS = {
+    float: _num,
+    int: _int,
+    str: _str,
+    Optional[float]: lambda v, ctx: None if v is None else _num(v, ctx),
+}
+
+
+def _fields_from_dict(obj, cls: type, ctx: str) -> dict:
+    """Check an object's keys against the fields of dataclass ``cls`` and
+    each scalar against its declared type; returns the object unconverted."""
+    d = _expect_dict(obj, ctx)
+    fields = dataclasses.fields(cls)
+    required = [
+        f.name for f in fields
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+    ]
+    _check_keys(d, required, [f.name for f in fields], ctx)
+    hints = get_type_hints(cls)
+    for key, val in d.items():
+        if hints[key] in _SCALAR_CHECKS:
+            _SCALAR_CHECKS[hints[key]](val, f"{ctx}.{key}")
+    return d
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    return {
-        "name": cfg.name,
-        "regime": cfg.regime.value,
-        "duration_s": cfg.duration_s,
-        "frame_rate": cfg.frame_rate,
-        "n_cameras": cfg.n_cameras,
-        "cam_spacing_m": cfg.cam_spacing_m,
-        "overlap_m": cfg.overlap_m,
-        "blind_gap_m": cfg.blind_gap_m,
-        "lanes_per_dir": cfg.lanes_per_dir,
-        "lane_width_m": cfg.lane_width_m,
-        "m_per_px": cfg.m_per_px,
-        "flow_east_vpm": cfg.flow_east_vpm,
-        "flow_west_vpm": cfg.flow_west_vpm,
-        "speed_mean_kmh": cfg.speed_mean_kmh,
-        "speed_std_kmh": cfg.speed_std_kmh,
-        "min_headway_s": cfg.min_headway_s,
-        "scripted_vehicles": [
-            {
-                "spawn_t": v.spawn_t,
-                "speed_kmh": v.speed_kmh,
-                "lane": v.lane,
-                "direction": v.direction,
-            }
-            for v in cfg.scripted_vehicles
-        ],
-        "wave_zone": list(cfg.wave_zone) if cfg.wave_zone else None,
-        "wave_windows": [list(w) for w in cfg.wave_windows],
-        "merge_pos_m": cfg.merge_pos_m,
-        "merge_rate_vpm": cfg.merge_rate_vpm,
-        "diverge_frac": cfg.diverge_frac,
-        "overtake_pairs": cfg.overtake_pairs,
-        "pair_spacing_s": cfg.pair_spacing_s,
-        "noise": {
-            "dropout_rate": cfg.noise.dropout_rate,
-            "pos_sigma_px": cfg.noise.pos_sigma_px,
-            "sync_jitter_frames": cfg.noise.sync_jitter_frames,
-        },
-        "drift_amplitude_m": cfg.drift_amplitude_m,
-        "drift_period_s": cfg.drift_period_s,
-    }
+    # through JSON, so that tuples come back as lists and the regime as its value
+    return json.loads(json.dumps(dataclasses.asdict(cfg), default=attrgetter("value")))
 
 
 def scenario_from_dict(obj) -> ScenarioConfig:
-    d = _expect_dict(obj, "scenario")
-    _check_keys(d, [], _SCENARIO_KEYS, "scenario")
-    kw = {}
-    for key, val in d.items():
-        if key == "regime":
-            if val not in {r.value for r in Regime}:
-                raise ConfigError(f"scenario.regime: unknown regime {val!r}")
-            kw[key] = val
-        elif key == "noise":
-            nd = _expect_dict(val, "scenario.noise")
-            _check_keys(
-                nd, [], ["dropout_rate", "pos_sigma_px", "sync_jitter_frames"],
-                "scenario.noise",
-            )
-            kw[key] = NoiseConfig(**nd)
-        elif key == "scripted_vehicles":
-            if not isinstance(val, list):
-                raise ConfigError("scenario.scripted_vehicles: expected a list")
-            svs = []
-            for i, sv in enumerate(val):
-                ctx = f"scenario.scripted_vehicles[{i}]"
-                svd = _expect_dict(sv, ctx)
-                _check_keys(svd, ["spawn_t", "speed_kmh"], ["lane", "direction"], ctx)
-                svs.append(ScriptedVehicle(**svd))
-            kw[key] = tuple(svs)
-        elif key == "wave_zone":
-            if val is not None:
-                if not (isinstance(val, list) and len(val) == 2):
-                    raise ConfigError(f"scenario.wave_zone: expected [lo, hi], got {val!r}")
-                val = (
-                    _num(val[0], "scenario.wave_zone[0]"),
-                    _num(val[1], "scenario.wave_zone[1]"),
-                )
-            kw[key] = val
-        elif key == "wave_windows":
-            if not isinstance(val, list):
-                raise ConfigError("scenario.wave_windows: expected a list")
-            wins = []
-            for i, w in enumerate(val):
-                if not (isinstance(w, list) and len(w) == 2):
-                    raise ConfigError(
-                        f"scenario.wave_windows[{i}]: expected [start, end], got {w!r}"
-                    )
-                wins.append(
-                    (
-                        _num(w[0], f"scenario.wave_windows[{i}][0]"),
-                        _num(w[1], f"scenario.wave_windows[{i}][1]"),
-                    )
-                )
-            kw[key] = tuple(wins)
-        else:
-            kw[key] = val
+    d = _fields_from_dict(obj, ScenarioConfig, "scenario")
+    kw = dict(d)
+    if "regime" in d and d["regime"] not in [r.value for r in Regime]:
+        raise ConfigError(f"scenario.regime: unknown regime {d['regime']!r}")
+    if "noise" in d:
+        kw["noise"] = NoiseConfig(**_fields_from_dict(d["noise"], NoiseConfig, "scenario.noise"))
+    if "scripted_vehicles" in d:
+        ctx = "scenario.scripted_vehicles"
+        kw["scripted_vehicles"] = tuple(
+            ScriptedVehicle(**_fields_from_dict(v, ScriptedVehicle, f"{ctx}[{i}]"))
+            for i, v in enumerate(_list(d["scripted_vehicles"], ctx))
+        )
+    if d.get("wave_zone") is not None:
+        kw["wave_zone"] = _pair(d["wave_zone"], "scenario.wave_zone")
+    if "wave_windows" in d:
+        ctx = "scenario.wave_windows"
+        kw["wave_windows"] = tuple(
+            _pair(w, f"{ctx}[{i}]") for i, w in enumerate(_list(d["wave_windows"], ctx))
+        )
     try:
         return ScenarioConfig(**kw)
     except TypeError as e:
         raise ConfigError(f"scenario: {e}") from e
 
 
-_META_KEYS = ["name", "seed", "frame_count", "frame_rate", "n_cameras", "duration_s"]
+_META_TYPES = {
+    "name": str, "seed": int, "frame_count": int,
+    "frame_rate": float, "n_cameras": int, "duration_s": float,
+}
 
 
 def meta_from_dict(obj) -> dict:
     d = _expect_dict(obj, "meta")
-    _check_keys(d, _META_KEYS, [], "meta")
-    return {
-        "name": str(d["name"]),
-        "seed": _int(d["seed"], "meta.seed"),
-        "frame_count": _int(d["frame_count"], "meta.frame_count"),
-        "frame_rate": _num(d["frame_rate"], "meta.frame_rate"),
-        "n_cameras": _int(d["n_cameras"], "meta.n_cameras"),
-        "duration_s": _num(d["duration_s"], "meta.duration_s"),
-    }
+    _check_keys(d, list(_META_TYPES), [], "meta")
+    return {k: _SCALAR_CHECKS[t](d[k], f"meta.{k}") for k, t in _META_TYPES.items()}
 
 
 # -- CSV -----------------------------------------------------------------------
 
 
-def _fmt(v: Optional[float]) -> str:
-    return NA if v is None else f"{v:.6f}"
+def _optional(parse: Callable[[str], object]) -> Callable[[str], object]:
+    return lambda s: None if s == NA else parse(s)
 
 
-def _parse_float(s: str, path, line: int) -> float:
-    try:
-        return float(s)
-    except ValueError:
-        raise MalformedInputError(f"{path}:{line}: bad number {s!r}") from None
+def _finite(values: Iterable) -> bool:
+    # filter(None, ...) drops None and 0.0, both of which pass
+    return all(map(math.isfinite, filter(None, values)))
 
 
-def _parse_opt_float(s: str, path, line: int) -> Optional[float]:
-    return None if s == NA else _parse_float(s, path, line)
+class Codec(NamedTuple):
+    """How the cells of one column turn into values and back."""
+
+    parse: Callable[[str], object]  # raises ValueError on a bad cell
+    fmt: str  # %-conversion of a present value; None is written as NA
+    what: str  # noun for the "bad <what>" message
+    check: Optional[Callable[[list], bool]] = None  # test of parsed values
+    optional: bool = False
 
 
-def _parse_int(s: str, path, line: int) -> int:
-    try:
-        return int(s)
-    except ValueError:
-        raise MalformedInputError(f"{path}:{line}: bad integer {s!r}") from None
+# One codec per declared field type. Integers and text print with %s, which
+# is str(); floats print at six decimals and must be finite.
+_CODECS = {
+    int: Codec(int, "%s", "integer"),
+    float: Codec(float, "%.6f", "number", _finite),
+    str: Codec(str, "%s", "text"),
+    Optional[int]: Codec(_optional(int), "%s", "integer", optional=True),
+    Optional[float]: Codec(_optional(float), "%.6f", "number", _finite, optional=True),
+    Optional[str]: Codec(_optional(str), "%s", "text", optional=True),
+}
 
 
-def _read_rows(path: str | Path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(line_no, cells)`` per non-empty data line, one line at a time."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+class Table:
+    """One CSV file: a column per field of ``row``, each with its codec.
+
+    Rows are written sorted by ``key`` and read back only if ``key``
+    strictly increases down the file; a table without a key keeps its
+    writer's order. ``vocab`` closes text columns to an enum's values.
+    """
+
+    def __init__(
+        self, row: type, key: Sequence[str] = (), vocab: Optional[dict[str, type]] = None
+    ) -> None:
+        if issubclass(row, tuple):
+            self.header = list(row._fields)
+            self.make, self.astuple = row._make, None
+        else:
+            self.header = [f.name for f in dataclasses.fields(row)]
+            self.make = lambda values: row(*values)
+            self.astuple = attrgetter(*self.header)
+        hints = get_type_hints(row)
+        self.codecs = [_CODECS[hints[name]] for name in self.header]
+        for name, enum in (vocab or {}).items():
+            i = self.header.index(name)
+            allowed = {m.value for m in enum} | {None}
+            self.codecs[i] = self.codecs[i]._replace(what="value", check=allowed.issuperset)
+        self.template = ",".join(c.fmt for c in self.codecs)
+        self.optional = any(c.optional for c in self.codecs)
+        self.key = tuple(key)
+        self.sort_key = itemgetter(*map(self.header.index, key)) if key else None
+        self.row_key = attrgetter(*key) if key else None
+
+
+def write_table(path: str | Path, table: Table, rows: Iterable) -> int:
+    """Write ``rows`` (instances of the table's row type, or plain tuples in
+    column order) under the table's header; returns the row count."""
+    if table.astuple is not None:
+        rows = map(table.astuple, rows)
+    if table.sort_key is not None:
+        rows = sorted(rows, key=table.sort_key)
+    template = table.template
+    if table.optional:
+        fmts = [c.fmt for c in table.codecs]
+        body = [
+            ",".join([NA if v is None else f % v for f, v in zip(fmts, r)])
+            if None in r else template % r
+            for r in rows
+        ]
+    else:
+        body = [template % r for r in rows]
+    Path(path).write_text("\n".join([",".join(table.header), *body]) + "\n", encoding="utf-8")
+    return len(body)
+
+
+def read_table(path: str | Path, table: Table) -> list:
+    """Parse every data line into a row; the first faulty line raises
+    MalformedInputError naming ``path:line``. Blank lines are skipped."""
+    lines = _decode(path, MalformedInputError).splitlines()
     if not lines:
         raise MalformedInputError(f"{path}: empty file")
-    if lines[0].split(",") != list(header):
+    if lines[0].split(",") != table.header:
         raise MalformedInputError(
-            f"{path}:1: bad header {lines[0]!r}, expected {','.join(header)!r}"
+            f"{path}:1: bad header {lines[0]!r}, expected {','.join(table.header)!r}"
         )
-    for i, line in enumerate(islice(lines, 1, None), start=2):
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise MalformedInputError(
-                f"{path}:{i}: expected {len(header)} fields, got {len(cells)}"
-            )
-        yield i, cells
+    rows: list = []
+    fault = None
+    data = filter(None, islice(lines, 1, None))
+    # Parsing builds an acyclic result, so the cyclic GC would only rescan it.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        while chunk := list(islice(data, _CHUNK)):
+            try:
+                rows += _parse(table, chunk)
+            except ValueError:  # find the line, keeping the rows above it
+                for line in chunk:
+                    fault = _bad_line(table, line)
+                    if fault is not None:
+                        break
+                    rows += _parse(table, [line])
+                break
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    index = len(rows)  # of the row that did not parse, if one did not
+    if table.key:
+        keys = list(map(table.row_key, rows))
+        if not all(map(lt, keys, islice(keys, 1, None))):
+            index = next(i for i in range(1, len(keys)) if not keys[i - 1] < keys[i])
+            fault = f"rows not sorted by ({', '.join(table.key)}) at {keys[index]}"
+    if fault is not None:
+        line_no = next(islice((i for i, s in enumerate(lines[1:], 2) if s), index, None))
+        raise MalformedInputError(f"{path}:{line_no}: {fault}")
+    return rows
+
+
+# Lines are parsed a chunk at a time, column by column, so that each parser
+# maps over a whole column in C; the chunk bounds the cells held at once.
+_CHUNK = 4096
+
+
+def _parse(table: Table, lines: list[str]) -> Iterator:
+    """Rows of ``lines``; ValueError if a line has the wrong field count or
+    a cell fails its column's codec."""
+    cells = [line.split(",") for line in lines]
+    columns = [
+        _column(codec, column)
+        for codec, column in zip(table.codecs, zip(*cells, strict=True), strict=True)
+    ]
+    return map(table.make, zip(*columns))
+
+
+def _column(codec: Codec, cells: Sequence[str]) -> list:
+    values = list(map(codec.parse, cells))
+    if codec.check is not None and not codec.check(values):
+        raise ValueError(f"bad {codec.what}")
+    return values
+
+
+def _bad_line(table: Table, line: str) -> Optional[str]:
+    """Why ``line`` fails the table's codecs, or None if it passes."""
+    cells = line.split(",")
+    if len(cells) != len(table.header):
+        return f"expected {len(table.header)} fields, got {len(cells)}"
+    for name, codec, cell in zip(table.header, table.codecs, cells):
+        try:
+            _column(codec, [cell])
+        except ValueError:
+            return f"bad {codec.what} {cell!r} in column {name}"
+    return None
 
 
 class ObsRow(NamedTuple):
@@ -408,50 +497,44 @@ class ObsRow(NamedTuple):
     y_m: float
 
 
-OBS_HEADER = ["frame_index", "camera_id", "local_id", "t", "x_px", "y_px", "x_m", "y_m"]
+class EventRow(NamedTuple):
+    kind: str
+    frame_index: int
+    t: float
+    camera_id: int
+    local_id: int
+    global_id: int
+    edge_up: Optional[int]
+    edge_down: Optional[int]
+    zone: Optional[str]
+    y_rel: Optional[float]
+    age: Optional[float]
+    residual: Optional[float]
+
+
+_OBS_KEY = ("frame_index", "camera_id", "local_id")
+OBS_TABLE = Table(ObsRow, key=_OBS_KEY)
+TRAJ_TABLE = Table(TrajRow, key=_OBS_KEY, vocab={"status": MotionStatus})
+EVENT_TABLE = Table(EventRow, vocab={"kind": EventKind, "zone": Zone})  # engine order
+TRUTH_OBS_TABLE = Table(TruthObs, key=_OBS_KEY)
+TRUTH_TRACKS_TABLE = Table(TruthTrack, key=("vehicle_id",))
+TRUTH_HANDOVERS_TABLE = Table(TrueHandover, key=("vehicle_id", "t_enter"))
+
+OBS_HEADER = OBS_TABLE.header
+TRAJ_HEADER = TRAJ_TABLE.header
+EVENT_HEADER = EVENT_TABLE.header
 
 
 def write_observations(path: str | Path, updates: Iterable[StreamUpdate]) -> int:
-    rows = []
-    for u in updates:
-        for s in u.tracks:
-            rows.append(
-                (
-                    u.frame_index, s.camera_id, s.local_id,
-                    _fmt(s.t), _fmt(s.pos_px.x), _fmt(s.pos_px.y),
-                    _fmt(s.pos.x), _fmt(s.pos.y),
-                )
-            )
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    lines = [",".join(OBS_HEADER)]
-    lines += [",".join(str(c) for c in r) for r in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return len(rows)
+    rows = (
+        (u.frame_index, s.camera_id, s.local_id, s.t, s.pos_px.x, s.pos_px.y, s.pos.x, s.pos.y)
+        for u in updates for s in u.tracks
+    )
+    return write_table(path, OBS_TABLE, rows)
 
 
 def read_observations(path: str | Path) -> list[ObsRow]:
-    out: list[ObsRow] = []
-    prev_key = None
-    for line_no, c in _read_rows(path, OBS_HEADER):
-        row = ObsRow(
-            frame_index=_parse_int(c[0], path, line_no),
-            camera_id=_parse_int(c[1], path, line_no),
-            local_id=_parse_int(c[2], path, line_no),
-            t=_parse_float(c[3], path, line_no),
-            x_px=_parse_float(c[4], path, line_no),
-            y_px=_parse_float(c[5], path, line_no),
-            x_m=_parse_float(c[6], path, line_no),
-            y_m=_parse_float(c[7], path, line_no),
-        )
-        key = (row.frame_index, row.camera_id, row.local_id)
-        if prev_key is not None and key <= prev_key:
-            raise MalformedInputError(
-                f"{path}:{line_no}: rows not sorted by "
-                f"(frame_index, camera_id, local_id) at {key}"
-            )
-        prev_key = key
-        out.append(row)
-    return out
+    return read_table(path, OBS_TABLE)
 
 
 def updates_from_rows(
@@ -500,230 +583,49 @@ def updates_from_rows(
     return out
 
 
-TRAJ_HEADER = [
-    "global_id", "frame_index", "camera_id", "local_id", "t",
-    "x_m", "y_m", "speed_kmh", "heading_rad", "status",
-]
-
-
 def write_trajectories(path: str | Path, rows: Iterable[TrajRow]) -> int:
-    ordered = sorted(rows, key=lambda r: (r.frame_index, r.camera_id, r.local_id))
-    lines = [",".join(TRAJ_HEADER)]
-    for r in ordered:
-        lines.append(
-            ",".join(
-                (
-                    str(r.global_id), str(r.frame_index), str(r.camera_id),
-                    str(r.local_id), _fmt(r.t), _fmt(r.x_m), _fmt(r.y_m),
-                    _fmt(r.speed_kmh), _fmt(r.heading_rad),
-                    r.status if r.status is not None else NA,
-                )
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return len(ordered)
+    return write_table(path, TRAJ_TABLE, rows)
 
 
 def read_trajectories(path: str | Path) -> list[TrajRow]:
-    valid_status = {m.value for m in MotionStatus}
-    out = []
-    for line_no, c in _read_rows(path, TRAJ_HEADER):
-        if c[9] != NA and c[9] not in valid_status:
-            raise MalformedInputError(f"{path}:{line_no}: unknown status {c[9]!r}")
-        out.append(
-            TrajRow(
-                global_id=_parse_int(c[0], path, line_no),
-                frame_index=_parse_int(c[1], path, line_no),
-                camera_id=_parse_int(c[2], path, line_no),
-                local_id=_parse_int(c[3], path, line_no),
-                t=_parse_float(c[4], path, line_no),
-                x_m=_parse_float(c[5], path, line_no),
-                y_m=_parse_float(c[6], path, line_no),
-                speed_kmh=_parse_opt_float(c[7], path, line_no),
-                heading_rad=_parse_opt_float(c[8], path, line_no),
-                status=None if c[9] == NA else c[9],
-            )
-        )
-    return out
-
-
-EVENT_HEADER = [
-    "kind", "frame_index", "t", "camera_id", "local_id", "global_id",
-    "edge_up", "edge_down", "zone", "y_rel", "age", "residual",
-]
-
-
-class EventRow(NamedTuple):
-    kind: str
-    frame_index: int
-    t: float
-    camera_id: int
-    local_id: int
-    global_id: int
-    edge_up: Optional[int]
-    edge_down: Optional[int]
-    zone: Optional[str]
-    y_rel: Optional[float]
-    age: Optional[float]
-    residual: Optional[float]
+    return read_table(path, TRAJ_TABLE)
 
 
 def event_to_row(ev: HandoverEvent) -> EventRow:
+    edge_up, edge_down = ev.edge if ev.edge else (None, None)
     return EventRow(
-        kind=ev.kind.value,
-        frame_index=ev.frame_index,
-        t=ev.t,
-        camera_id=ev.camera_id,
-        local_id=ev.local_id,
-        global_id=ev.global_id,
-        edge_up=ev.edge[0] if ev.edge else None,
-        edge_down=ev.edge[1] if ev.edge else None,
-        zone=ev.zone.value if ev.zone else None,
-        y_rel=ev.y_rel,
-        age=ev.age,
-        residual=ev.residual,
+        ev.kind.value, ev.frame_index, ev.t, ev.camera_id, ev.local_id, ev.global_id,
+        edge_up, edge_down, ev.zone.value if ev.zone else None, ev.y_rel, ev.age, ev.residual,
     )
 
 
 def write_events(path: str | Path, events: Iterable[HandoverEvent]) -> int:
-    lines = [",".join(EVENT_HEADER)]
-    n = 0
-    for ev in events:  # engine emission order is already deterministic
-        r = event_to_row(ev)
-        lines.append(
-            ",".join(
-                (
-                    r.kind, str(r.frame_index), _fmt(r.t), str(r.camera_id),
-                    str(r.local_id), str(r.global_id),
-                    NA if r.edge_up is None else str(r.edge_up),
-                    NA if r.edge_down is None else str(r.edge_down),
-                    r.zone if r.zone is not None else NA,
-                    _fmt(r.y_rel), _fmt(r.age), _fmt(r.residual),
-                )
-            )
-        )
-        n += 1
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return n
-
-
-_KINDS = {k.value for k in EventKind}
-_ZONES = {z.value for z in Zone}
+    return write_table(path, EVENT_TABLE, map(event_to_row, events))
 
 
 def read_events(path: str | Path) -> list[EventRow]:
-    out = []
-    for line_no, c in _read_rows(path, EVENT_HEADER):
-        if c[0] not in _KINDS:
-            raise MalformedInputError(f"{path}:{line_no}: unknown event kind {c[0]!r}")
-        zone = None if c[8] == NA else c[8]
-        if zone is not None and zone not in _ZONES:
-            raise MalformedInputError(f"{path}:{line_no}: unknown zone {zone!r}")
-        out.append(
-            EventRow(
-                kind=c[0],
-                frame_index=_parse_int(c[1], path, line_no),
-                t=_parse_float(c[2], path, line_no),
-                camera_id=_parse_int(c[3], path, line_no),
-                local_id=_parse_int(c[4], path, line_no),
-                global_id=_parse_int(c[5], path, line_no),
-                edge_up=None if c[6] == NA else _parse_int(c[6], path, line_no),
-                edge_down=None if c[7] == NA else _parse_int(c[7], path, line_no),
-                zone=zone,
-                y_rel=_parse_opt_float(c[9], path, line_no),
-                age=_parse_opt_float(c[10], path, line_no),
-                residual=_parse_opt_float(c[11], path, line_no),
-            )
-        )
-    return out
-
-
-TRUTH_OBS_HEADER = ["frame_index", "camera_id", "local_id", "vehicle_id"]
+    return read_table(path, EVENT_TABLE)
 
 
 def write_truth_obs(path: str | Path, rows: Iterable[TruthObs]) -> int:
-    ordered = sorted(rows, key=lambda r: (r.frame_index, r.camera_id, r.local_id))
-    lines = [",".join(TRUTH_OBS_HEADER)]
-    lines += [
-        f"{r.frame_index},{r.camera_id},{r.local_id},{r.vehicle_id}" for r in ordered
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return len(ordered)
+    return write_table(path, TRUTH_OBS_TABLE, rows)
 
 
 def read_truth_obs(path: str | Path) -> list[TruthObs]:
-    out = []
-    for line_no, c in _read_rows(path, TRUTH_OBS_HEADER):
-        out.append(
-            TruthObs(
-                frame_index=_parse_int(c[0], path, line_no),
-                camera_id=_parse_int(c[1], path, line_no),
-                local_id=_parse_int(c[2], path, line_no),
-                vehicle_id=_parse_int(c[3], path, line_no),
-            )
-        )
-    return out
-
-
-TRUTH_TRACKS_HEADER = [
-    "vehicle_id", "direction", "lane", "desired_speed_kmh", "spawn_t", "despawn_t", "kind",
-]
+    return read_table(path, TRUTH_OBS_TABLE)
 
 
 def write_truth_tracks(path: str | Path, rows: Iterable[TruthTrack]) -> int:
-    ordered = sorted(rows, key=lambda r: r.vehicle_id)
-    lines = [",".join(TRUTH_TRACKS_HEADER)]
-    for r in ordered:
-        lines.append(
-            f"{r.vehicle_id},{r.direction},{r.lane},{_fmt(r.desired_speed_kmh)},"
-            f"{_fmt(r.spawn_t)},{_fmt(r.despawn_t)},{r.kind}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return len(ordered)
+    return write_table(path, TRUTH_TRACKS_TABLE, rows)
 
 
 def read_truth_tracks(path: str | Path) -> list[TruthTrack]:
-    out = []
-    for line_no, c in _read_rows(path, TRUTH_TRACKS_HEADER):
-        out.append(
-            TruthTrack(
-                vehicle_id=_parse_int(c[0], path, line_no),
-                direction=_parse_int(c[1], path, line_no),
-                lane=_parse_int(c[2], path, line_no),
-                desired_speed_kmh=_parse_float(c[3], path, line_no),
-                spawn_t=_parse_float(c[4], path, line_no),
-                despawn_t=_parse_float(c[5], path, line_no),
-                kind=c[6],
-            )
-        )
-    return out
-
-
-TRUTH_HANDOVERS_HEADER = ["vehicle_id", "from_camera", "to_camera", "t_exit", "t_enter"]
+    return read_table(path, TRUTH_TRACKS_TABLE)
 
 
 def write_truth_handovers(path: str | Path, rows: Iterable[TrueHandover]) -> int:
-    ordered = sorted(rows, key=lambda r: (r.vehicle_id, r.t_enter))
-    lines = [",".join(TRUTH_HANDOVERS_HEADER)]
-    for r in ordered:
-        lines.append(
-            f"{r.vehicle_id},{r.from_camera},{r.to_camera},"
-            f"{_fmt(r.t_exit)},{_fmt(r.t_enter)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return len(ordered)
+    return write_table(path, TRUTH_HANDOVERS_TABLE, rows)
 
 
 def read_truth_handovers(path: str | Path) -> list[TrueHandover]:
-    out = []
-    for line_no, c in _read_rows(path, TRUTH_HANDOVERS_HEADER):
-        out.append(
-            TrueHandover(
-                vehicle_id=_parse_int(c[0], path, line_no),
-                from_camera=_parse_int(c[1], path, line_no),
-                to_camera=_parse_int(c[2], path, line_no),
-                t_exit=_parse_float(c[3], path, line_no),
-                t_enter=_parse_float(c[4], path, line_no),
-            )
-        )
-    return out
+    return read_table(path, TRUTH_HANDOVERS_TABLE)

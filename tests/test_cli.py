@@ -5,6 +5,7 @@ import pytest
 from camchain import cli
 from camchain import pipeline as pl
 from camchain.formats import load_json
+from test_formats import BAD_SCENARIOS
 
 
 def run_cli(*argv):
@@ -28,6 +29,20 @@ class TestHelpAndUsage:
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as ei:
             run_cli("run", "--seed", "1", "--out-dir", "x", "--telepathy")
+        assert ei.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--seed", "1", "--out-dir", "x"),
+            ("stitch", "--in-dir", "x"),
+            ("run", "--seed", "1", "--out-dir", "x"),
+        ],
+        ids=["simulate", "stitch", "run"],
+    )
+    def test_format_option_is_gone(self, argv):
+        with pytest.raises(SystemExit) as ei:
+            run_cli(*argv, "--format", "csv")
         assert ei.value.code == 2
 
     def test_bad_strategy_is_usage_error(self):
@@ -151,6 +166,43 @@ class TestExitCodes:
         lines[1], lines[2] = lines[2], lines[1]
         (d / pl.OBSERVATIONS).write_text("\n".join(lines) + "\n")
         assert run_cli("stitch", "--in-dir", str(d)) == 5
+
+    @pytest.mark.parametrize(
+        "command,name,column,value",
+        [
+            ("stitch", pl.OBSERVATIONS, "x_m", "nan"),
+            ("stitch", pl.OBSERVATIONS, "y_px", "\udcff"),  # written as byte 0xff
+            ("evaluate", pl.EVENTS, "age", "inf"),
+            ("evaluate", pl.TRAJECTORIES, None, None),  # a duplicated row, another gid
+        ],
+        ids=["nan", "not-utf8", "inf", "duplicate-row"],
+    )
+    def test_reader_faults_are_5(
+        self, tmp_path, fixtures_dir, capsys, command, name, column, value
+    ):
+        d = self.simulate_small(tmp_path, fixtures_dir)
+        assert run_cli("stitch", "--in-dir", str(d)) == 0
+        lines = (d / name).read_text().splitlines()
+        header = lines[0].split(",")
+        cells = lines[1].split(",")
+        if column is None:
+            cells[header.index("global_id")] = "999"
+            lines.insert(2, ",".join(cells))
+        else:
+            cells[header.index(column)] = value
+            lines[1] = ",".join(cells)
+        (d / name).write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+        assert run_cli(command, "--in-dir", str(d)) == 5
+        assert f"{name}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", list(BAD_SCENARIOS.values()), ids=list(BAD_SCENARIOS))
+    def test_mistyped_scenario_scalars_are_4(self, tmp_path, bad):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(bad))  # NaN and Infinity as JSON spells them
+        assert run_cli(
+            "simulate", "--scenario", str(scenario), "--seed", "1",
+            "--out-dir", str(tmp_path / "out"),
+        ) == 4
 
     def test_missing_inputs_are_6(self, tmp_path, fixtures_dir):
         assert run_cli("stitch", "--in-dir", str(tmp_path / "void")) == 6

@@ -1,13 +1,27 @@
+import dataclasses
+import gc
+import math
 import re
 from dataclasses import replace
+from typing import Callable, NamedTuple, Optional
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from camchain import pipeline as pl
 from camchain.errors import ConfigError, MalformedInputError, ParseError
 from camchain.formats import (
     EVENT_HEADER,
+    EVENT_TABLE,
     OBS_HEADER,
+    OBS_TABLE,
     TRAJ_HEADER,
+    TRAJ_TABLE,
+    TRUTH_HANDOVERS_TABLE,
+    TRUTH_OBS_TABLE,
+    TRUTH_TRACKS_TABLE,
+    Table,
     TrajRow,
     dump_json,
     load_json,
@@ -28,6 +42,7 @@ from camchain.formats import (
     updates_from_rows,
     write_events,
     write_observations,
+    write_table,
     write_trajectories,
     write_truth_handovers,
     write_truth_obs,
@@ -36,6 +51,23 @@ from camchain.formats import (
 from camchain.handover import HandoverEngine, MatcherConfig, MatchStrategy
 from camchain.simulator import ScenarioConfig, ScriptedVehicle, run_sim
 from helpers import drive, two_cam_graph
+
+
+# scenario dicts whose scalars break their declared types; JSON can spell
+# every one of them (NaN, Infinity, true)
+BAD_SCENARIOS = {
+    "nan-duration": {"duration_s": math.nan},
+    "infinite-flow": {"flow_east_vpm": math.inf},
+    "bool-as-int": {"n_cameras": True},
+    "number-as-name": {"name": 5},
+    "nan-optional": {"merge_pos_m": math.nan},
+    "fractional-jitter": {"noise": {"sync_jitter_frames": 1.5}},
+    "nan-noise": {"noise": {"pos_sigma_px": math.nan}},
+    "infinite-scripted-speed": {"scripted_vehicles": [{"spawn_t": 0.0, "speed_kmh": math.inf}]},
+    "bool-scripted-lane": {
+        "scripted_vehicles": [{"spawn_t": 0.0, "speed_kmh": 50.0, "lane": False}]
+    },
+}
 
 
 def _poison_cell(line, idx):
@@ -51,6 +83,12 @@ class TestJson:
         with pytest.raises(ParseError) as ei:
             load_json(p)
         assert "broken.json:2:" in str(ei.value)
+
+    def test_bytes_that_are_not_utf8_are_a_parse_error(self, tmp_path):
+        p = tmp_path / "latin1.json"
+        p.write_bytes(b'{\n  "name": "caf\xe9"\n}\n')
+        with pytest.raises(ParseError, match="latin1.json:2: not UTF-8"):
+            load_json(p)
 
     def test_dump_is_canonical(self, tmp_path):
         p = tmp_path / "obj.json"
@@ -184,6 +222,16 @@ class TestScenarioSection:
     def test_validation_still_applies(self):
         with pytest.raises(ConfigError):
             scenario_from_dict({"n_cameras": 0})
+
+    @pytest.mark.parametrize("bad", list(BAD_SCENARIOS.values()), ids=list(BAD_SCENARIOS))
+    def test_scalars_must_match_their_declared_type(self, bad):
+        with pytest.raises(ConfigError):
+            scenario_from_dict(bad)
+
+    def test_values_are_checked_not_converted(self):
+        d = scenario_to_dict(scenario_from_dict({"duration_s": 30, "merge_pos_m": None}))
+        assert d["duration_s"] == 30 and isinstance(d["duration_s"], int)
+        assert d["merge_pos_m"] is None
 
 
 class TestObservationsCsv:
@@ -371,3 +419,192 @@ class TestMeta:
         extra["vibe"] = "good"
         with pytest.raises(ConfigError, match="unknown key"):
             meta_from_dict(extra)
+
+
+# -- every table through the one reader -----------------------------------------
+
+
+class Spec(NamedTuple):
+    file: str
+    table: Table
+    read: Callable
+    float_col: Optional[str]  # a required float column, if the table has one
+    int_col: str
+
+
+TABLES = {
+    "observations": Spec(pl.OBSERVATIONS, OBS_TABLE, read_observations, "x_m", "frame_index"),
+    "trajectories": Spec(pl.TRAJECTORIES, TRAJ_TABLE, read_trajectories, "y_m", "global_id"),
+    "events": Spec(pl.EVENTS, EVENT_TABLE, read_events, "t", "global_id"),
+    "truth_observations": Spec(
+        pl.TRUTH_OBS, TRUTH_OBS_TABLE, read_truth_obs, None, "vehicle_id"
+    ),
+    "truth_tracks": Spec(
+        pl.TRUTH_TRACKS, TRUTH_TRACKS_TABLE, read_truth_tracks, "spawn_t", "lane"
+    ),
+    "truth_handovers": Spec(
+        pl.TRUTH_HANDOVERS, TRUTH_HANDOVERS_TABLE, read_truth_handovers, "t_exit", "to_camera"
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def two_car_dir(tmp_path_factory):
+    """All six tables of a two-car run, each with at least two data rows."""
+    cfg = ScenarioConfig(
+        duration_s=40.0,
+        flow_east_vpm=0.0,
+        scripted_vehicles=(
+            ScriptedVehicle(spawn_t=0.0, speed_kmh=54.0),
+            ScriptedVehicle(spawn_t=5.0, speed_kmh=50.0),
+        ),
+    )
+    out = tmp_path_factory.mktemp("two_cars")
+    pl.run_to_dir(cfg, 7, out)
+    return out
+
+
+def _set_cell(lines, column, value, row=1):
+    cells = lines[row].split(",")
+    cells[lines[0].split(",").index(column)] = value
+    return lines[:row] + [",".join(cells)] + lines[row + 1:]
+
+
+# (id, what the table needs, mutation of the file's lines, message fragment,
+#  reported line or None)
+CORRUPTIONS = [
+    ("swapped", "key", lambda ls, s: [ls[0], ls[2], ls[1], *ls[3:]], "not sorted", 3),
+    ("duplicated", "key", lambda ls, s: [ls[0], ls[1], *ls[1:]], "not sorted", 3),
+    ("zebra", "float", lambda ls, s: _set_cell(ls, s.float_col, "zebra"), "bad number", 2),
+    ("nan", "float", lambda ls, s: _set_cell(ls, s.float_col, "nan"), "bad number", 2),
+    ("inf", "float", lambda ls, s: _set_cell(ls, s.float_col, "inf"), "bad number", 2),
+    ("-inf", "float", lambda ls, s: _set_cell(ls, s.float_col, "-inf", 2), "bad number", 3),
+    ("1e400", "float", lambda ls, s: _set_cell(ls, s.float_col, "1e400"), "bad number", 2),
+    ("NA", "float", lambda ls, s: _set_cell(ls, s.float_col, "NA"), "bad number", 2),
+    ("half", "int", lambda ls, s: _set_cell(ls, s.int_col, "1.5"), "bad integer", 2),
+    ("fields", "", lambda ls, s: [ls[0], ls[1].rsplit(",", 1)[0], *ls[2:]], "fields", 2),
+    ("header", "", lambda ls, s: ["a,b", *ls[1:]], "bad header", 1),
+    ("empty", "", lambda ls, s: [], "empty", None),
+    # a lone surrogate is written as the single byte 0xff
+    ("not-utf8", "", lambda ls, s: _set_cell(ls, s.int_col, "\udcff", 2), "not UTF-8", 3),
+]
+
+
+def _cases():
+    for table, spec in TABLES.items():
+        for case, needs, mutate, fragment, line in CORRUPTIONS:
+            if (needs == "key" and not spec.table.key) or (needs == "float" and not spec.float_col):
+                continue
+            yield pytest.param(table, mutate, fragment, line, id=f"{table}-{case}")
+
+
+def _write_lines(path, lines):
+    text = "\n".join(lines) + "\n" if lines else ""
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+
+
+class TestEveryTable:
+    @pytest.mark.parametrize("table,mutate,fragment,line", list(_cases()))
+    def test_reader_rejects_corruption(self, two_car_dir, tmp_path, table, mutate, fragment, line):
+        spec = TABLES[table]
+        lines = (two_car_dir / spec.file).read_text().splitlines()
+        assert len(lines) >= 3
+        bad = tmp_path / spec.file
+        _write_lines(bad, mutate(lines, spec))
+        with pytest.raises(MalformedInputError, match=fragment) as ei:
+            spec.read(bad)
+        where = f"{bad}:{line}:" if line is not None else f"{bad}:"
+        assert str(ei.value).startswith(where), str(ei.value)
+
+    def test_duplicated_trajectory_row_with_another_gid(self, two_car_dir, tmp_path):
+        lines = (two_car_dir / pl.TRAJECTORIES).read_text().splitlines()
+        other = _set_cell(lines, "global_id", "999")[1]
+        bad = tmp_path / pl.TRAJECTORIES
+        _write_lines(bad, [lines[0], lines[1], other, *lines[2:]])
+        with pytest.raises(MalformedInputError, match=f"{bad}:3: rows not sorted"):
+            read_trajectories(bad)
+
+    @pytest.mark.parametrize(
+        "nan_row,swap_at,line",
+        [(4, 1, 3), (1, 3, 2)],
+        ids=["order-fault-first", "bad-cell-first"],
+    )
+    def test_the_first_faulty_line_is_reported(
+        self, two_car_dir, tmp_path, nan_row, swap_at, line
+    ):
+        lines = (two_car_dir / pl.OBSERVATIONS).read_text().splitlines()
+        lines = _set_cell(lines, "x_m", "nan", row=nan_row)
+        lines[swap_at], lines[swap_at + 1] = lines[swap_at + 1], lines[swap_at]
+        bad = tmp_path / pl.OBSERVATIONS
+        _write_lines(bad, lines)
+        with pytest.raises(MalformedInputError, match=f"{bad}:{line}: "):
+            read_observations(bad)
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_reader_leaves_gc_as_it_found_it(self, two_car_dir, tmp_path, enabled):
+        lines = (two_car_dir / pl.OBSERVATIONS).read_text().splitlines()
+        bad = tmp_path / pl.OBSERVATIONS
+        _write_lines(bad, _set_cell(lines, "x_m", "zebra", row=3))
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            assert read_observations(two_car_dir / pl.OBSERVATIONS)
+            assert gc.isenabled() is enabled
+            with pytest.raises(MalformedInputError):
+                read_observations(bad)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was_enabled else gc.disable()
+
+    def test_events_keep_engine_order(self, two_car_dir, tmp_path):
+        lines = (two_car_dir / pl.EVENTS).read_text().splitlines()
+        swapped = tmp_path / pl.EVENTS
+        _write_lines(swapped, [lines[0], lines[2], lines[1], *lines[3:]])
+        rows = read_events(two_car_dir / pl.EVENTS)
+        assert read_events(swapped) == [rows[1], rows[0], *rows[2:]]
+
+    @pytest.mark.parametrize("table", list(TABLES))
+    def test_write_read_write_is_byte_identical(self, two_car_dir, tmp_path, table):
+        spec = TABLES[table]
+        again = tmp_path / spec.file
+        rows = spec.read(two_car_dir / spec.file)
+        assert write_table(again, spec.table, rows) == len(rows) >= 2
+        assert again.read_bytes() == (two_car_dir / spec.file).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+CELLS = st.one_of(
+    st.sampled_from([
+        "nan", "-nan", "inf", "-Infinity", "1e400", "-1e400", "1e-400", "NA", "", " ",
+        "1_0", "0x1f", "+7", "-0", "1.5", "\u0661\u0662", "9" * 5000, "\udcff", "\u2028",
+        "moving", "upper", "matched",
+    ]),
+    st.text(max_size=12),
+    st.integers().map(str),
+    st.floats().map(repr),
+)
+
+
+class TestReaderFuzz:
+    @pytest.mark.parametrize("table", list(TABLES))
+    @given(data=st.data())
+    def test_one_replaced_cell_gives_rows_or_malformed_input(
+        self, two_car_dir, fuzz_dir, table, data
+    ):
+        spec = TABLES[table]
+        lines = (two_car_dir / spec.file).read_text().splitlines()[:12]
+        row = data.draw(st.integers(1, len(lines) - 1), label="row")
+        column = data.draw(st.sampled_from(spec.table.header), label="column")
+        path = fuzz_dir / spec.file
+        _write_lines(path, _set_cell(lines, column, data.draw(CELLS, label="cell"), row))
+        try:
+            rows = spec.read(path)
+        except MalformedInputError:
+            return
+        for r in rows:
+            values = r if isinstance(r, tuple) else dataclasses.astuple(r)
+            assert all(math.isfinite(v) for v in values if isinstance(v, float))
