@@ -14,13 +14,12 @@ or whose rows do not strictly increase in the table's key.
 from __future__ import annotations
 
 import dataclasses
-import gc
 import json
 import math
 from itertools import islice
-from operator import attrgetter, itemgetter, lt
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, get_type_hints
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, get_type_hints
 
 from .errors import CamchainError, ConfigError, MalformedInputError, ParseError
 from .geometry import Point2, Polygon, RoadFrame, Zone
@@ -38,6 +37,13 @@ from .simulator import (
 from .sync import StreamUpdate
 from .topology import CameraNode, EdgeDef, TopologyGraph
 from .tracks import TrackState, TrajRow
+
+try:
+    from operator import call as _call  # Python 3.11+
+except ImportError:  # Python 3.10
+    def _call(parse, cell):
+        return parse(cell)
+
 
 NA = "NA"
 
@@ -329,18 +335,13 @@ def _optional(parse: Callable[[str], object]) -> Callable[[str], object]:
     return lambda s: None if s == NA else parse(s)
 
 
-def _finite(values: Iterable) -> bool:
-    # filter(None, ...) drops None and 0.0, both of which pass
-    return all(map(math.isfinite, filter(None, values)))
-
-
 class Codec(NamedTuple):
     """How the cells of one column turn into values and back."""
 
-    parse: Callable[[str], object]  # raises ValueError on a bad cell
+    parse: Callable[[str], object]  # raises ValueError or KeyError on a bad cell
     fmt: str  # %-conversion of a present value; None is written as NA
     what: str  # noun for the "bad <what>" message
-    check: Optional[Callable[[list], bool]] = None  # test of parsed values
+    finite: bool = False  # parsed numbers must be finite
     optional: bool = False
 
 
@@ -348,10 +349,10 @@ class Codec(NamedTuple):
 # is str(); floats print at six decimals and must be finite.
 _CODECS = {
     int: Codec(int, "%s", "integer"),
-    float: Codec(float, "%.6f", "number", _finite),
+    float: Codec(float, "%.6f", "number", finite=True),
     str: Codec(str, "%s", "text"),
     Optional[int]: Codec(_optional(int), "%s", "integer", optional=True),
-    Optional[float]: Codec(_optional(float), "%.6f", "number", _finite, optional=True),
+    Optional[float]: Codec(_optional(float), "%.6f", "number", finite=True, optional=True),
     Optional[str]: Codec(_optional(str), "%s", "text", optional=True),
 }
 
@@ -377,19 +378,46 @@ class Table:
         hints = get_type_hints(row)
         self.codecs = [_CODECS[hints[name]] for name in self.header]
         for name, enum in (vocab or {}).items():
+            # a lookup that raises KeyError on any cell outside the vocabulary
             i = self.header.index(name)
-            allowed = {m.value for m in enum} | {None}
-            self.codecs[i] = self.codecs[i]._replace(what="value", check=allowed.issuperset)
+            cells = {m.value: m.value for m in enum}
+            if self.codecs[i].optional:
+                cells[NA] = None
+            self.codecs[i] = self.codecs[i]._replace(parse=cells.__getitem__, what="value")
+        self.parsers = [c.parse for c in self.codecs]
+        floats = [i for i, c in enumerate(self.codecs) if c.finite]
+        # the float values of a parsed row as a tuple, or None if it has none
+        if len(floats) == 1:  # itemgetter of one index returns a bare value
+            self.floats = lambda values: (values[floats[0]],)
+        else:
+            self.floats = itemgetter(*floats) if floats else None
         self.template = ",".join(c.fmt for c in self.codecs)
         self.optional = any(c.optional for c in self.codecs)
         self.key = tuple(key)
+        # the key of a row given as a tuple or list of column values
         self.sort_key = itemgetter(*map(self.header.index, key)) if key else None
-        self.row_key = attrgetter(*key) if key else None
+
+    def fault(self, cells: list[str]) -> str:
+        """Why a split line is not a row of this table."""
+        if len(cells) != len(self.header):
+            return f"expected {len(self.header)} fields, got {len(cells)}"
+        for name, codec, cell in zip(self.header, self.codecs, cells):
+            try:
+                v = codec.parse(cell)
+                good = not codec.finite or v is None or math.isfinite(v)
+            except (ValueError, KeyError):
+                good = False
+            if not good:
+                return f"bad {codec.what} {cell!r} in column {name}"
+        return "unreadable row"
 
 
 def write_table(path: str | Path, table: Table, rows: Iterable) -> int:
-    """Write ``rows`` (instances of the table's row type, or plain tuples in
-    column order) under the table's header; returns the row count."""
+    """Write ``rows`` under the table's header; returns the row count.
+
+    Rows are instances of the table's row type; a table whose row type is
+    a NamedTuple also takes plain tuples in column order.
+    """
     if table.astuple is not None:
         rows = map(table.astuple, rows)
     if table.sort_key is not None:
@@ -418,72 +446,32 @@ def read_table(path: str | Path, table: Table) -> list:
         raise MalformedInputError(
             f"{path}:1: bad header {lines[0]!r}, expected {','.join(table.header)!r}"
         )
-    rows: list = []
-    fault = None
-    data = filter(None, islice(lines, 1, None))
-    # Parsing builds an acyclic result, so the cyclic GC would only rescan it.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        while chunk := list(islice(data, _CHUNK)):
-            try:
-                rows += _parse(table, chunk)
-            except ValueError:  # find the line, keeping the rows above it
-                for line in chunk:
-                    fault = _bad_line(table, line)
-                    if fault is not None:
-                        break
-                    rows += _parse(table, [line])
-                break
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    index = len(rows)  # of the row that did not parse, if one did not
-    if table.key:
-        keys = list(map(table.row_key, rows))
-        if not all(map(lt, keys, islice(keys, 1, None))):
-            index = next(i for i in range(1, len(keys)) if not keys[i - 1] < keys[i])
-            fault = f"rows not sorted by ({', '.join(table.key)}) at {keys[index]}"
-    if fault is not None:
-        line_no = next(islice((i for i, s in enumerate(lines[1:], 2) if s), index, None))
-        raise MalformedInputError(f"{path}:{line_no}: {fault}")
-    return rows
-
-
-# Lines are parsed a chunk at a time, column by column, so that each parser
-# maps over a whole column in C; the chunk bounds the cells held at once.
-_CHUNK = 4096
-
-
-def _parse(table: Table, lines: list[str]) -> Iterator:
-    """Rows of ``lines``; ValueError if a line has the wrong field count or
-    a cell fails its column's codec."""
-    cells = [line.split(",") for line in lines]
-    columns = [
-        _column(codec, column)
-        for codec, column in zip(table.codecs, zip(*cells, strict=True), strict=True)
-    ]
-    return map(table.make, zip(*columns))
-
-
-def _column(codec: Codec, cells: Sequence[str]) -> list:
-    values = list(map(codec.parse, cells))
-    if codec.check is not None and not codec.check(values):
-        raise ValueError(f"bad {codec.what}")
-    return values
-
-
-def _bad_line(table: Table, line: str) -> Optional[str]:
-    """Why ``line`` fails the table's codecs, or None if it passes."""
-    cells = line.split(",")
-    if len(cells) != len(table.header):
-        return f"expected {len(table.header)} fields, got {len(cells)}"
-    for name, codec, cell in zip(table.header, table.codecs, cells):
+    parsers, floats, make, key_of = table.parsers, table.floats, table.make, table.sort_key
+    width = len(parsers)
+    rows = []
+    prev = None
+    for line_no, line in enumerate(islice(lines, 1, None), 2):
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != width:
+            raise MalformedInputError(f"{path}:{line_no}: {table.fault(cells)}")
         try:
-            _column(codec, [cell])
-        except ValueError:
-            return f"bad {codec.what} {cell!r} in column {name}"
-    return None
+            values = list(map(_call, parsers, cells))
+        except (ValueError, KeyError):
+            raise MalformedInputError(f"{path}:{line_no}: {table.fault(cells)}") from None
+        # filter(None, ...) drops None and 0.0, both of which are fine
+        if floats is not None and not all(map(math.isfinite, filter(None, floats(values)))):
+            raise MalformedInputError(f"{path}:{line_no}: {table.fault(cells)}")
+        if key_of is not None:
+            key = key_of(values)
+            if prev is not None and not prev < key:
+                raise MalformedInputError(
+                    f"{path}:{line_no}: rows not sorted by ({', '.join(table.key)}) at {key}"
+                )
+            prev = key
+        rows.append(make(values))
+    return rows
 
 
 class ObsRow(NamedTuple):
@@ -592,10 +580,19 @@ def read_trajectories(path: str | Path) -> list[TrajRow]:
 
 
 def event_to_row(ev: HandoverEvent) -> EventRow:
-    edge_up, edge_down = ev.edge if ev.edge else (None, None)
     return EventRow(
-        ev.kind.value, ev.frame_index, ev.t, ev.camera_id, ev.local_id, ev.global_id,
-        edge_up, edge_down, ev.zone.value if ev.zone else None, ev.y_rel, ev.age, ev.residual,
+        kind=ev.kind.value,
+        frame_index=ev.frame_index,
+        t=ev.t,
+        camera_id=ev.camera_id,
+        local_id=ev.local_id,
+        global_id=ev.global_id,
+        edge_up=ev.edge[0] if ev.edge else None,
+        edge_down=ev.edge[1] if ev.edge else None,
+        zone=ev.zone.value if ev.zone else None,
+        y_rel=ev.y_rel,
+        age=ev.age,
+        residual=ev.residual,
     )
 
 

@@ -1,5 +1,4 @@
 import dataclasses
-import gc
 import math
 import re
 from dataclasses import replace
@@ -31,6 +30,7 @@ from camchain.formats import (
     parse_topology,
     read_events,
     read_observations,
+    read_table,
     read_trajectories,
     read_truth_handovers,
     read_truth_obs,
@@ -540,22 +540,6 @@ class TestEveryTable:
         with pytest.raises(MalformedInputError, match=f"{bad}:{line}: "):
             read_observations(bad)
 
-    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
-    def test_reader_leaves_gc_as_it_found_it(self, two_car_dir, tmp_path, enabled):
-        lines = (two_car_dir / pl.OBSERVATIONS).read_text().splitlines()
-        bad = tmp_path / pl.OBSERVATIONS
-        _write_lines(bad, _set_cell(lines, "x_m", "zebra", row=3))
-        was_enabled = gc.isenabled()
-        try:
-            gc.enable() if enabled else gc.disable()
-            assert read_observations(two_car_dir / pl.OBSERVATIONS)
-            assert gc.isenabled() is enabled
-            with pytest.raises(MalformedInputError):
-                read_observations(bad)
-            assert gc.isenabled() is enabled
-        finally:
-            gc.enable() if was_enabled else gc.disable()
-
     def test_events_keep_engine_order(self, two_car_dir, tmp_path):
         lines = (two_car_dir / pl.EVENTS).read_text().splitlines()
         swapped = tmp_path / pl.EVENTS
@@ -570,6 +554,19 @@ class TestEveryTable:
         rows = spec.read(two_car_dir / spec.file)
         assert write_table(again, spec.table, rows) == len(rows) >= 2
         assert again.read_bytes() == (two_car_dir / spec.file).read_bytes()
+
+    def test_a_lone_float_column_is_checked_too(self, tmp_path):
+        class Reading(NamedTuple):
+            n: int
+            x: float
+
+        table = Table(Reading, key=("n",))
+        path = tmp_path / "readings.csv"
+        assert write_table(path, table, [Reading(2, 0.5), Reading(1, -3.0)]) == 2
+        assert read_table(path, table) == [Reading(1, -3.0), Reading(2, 0.5)]
+        _write_lines(path, ["n,x", "1,0.5", "2,nan"])
+        with pytest.raises(MalformedInputError, match=f"{path}:3: bad number 'nan' in column x"):
+            read_table(path, table)
 
 
 @pytest.fixture(scope="module")
