@@ -34,7 +34,6 @@ from .handover import (
     EventKind,
     HandoverEngine,
     HandoverEvent,
-    KinematicsConfig,
     MatcherConfig,
     MatchStrategy,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "HandoverEvent",
     "InsufficientHistoryError",
     "KinematicState",
-    "KinematicsConfig",
     "MalformedInputError",
     "MatchStrategy",
     "MatcherConfig",

@@ -325,7 +325,12 @@ _META_TYPES = {
 def meta_from_dict(obj) -> dict:
     d = _expect_dict(obj, "meta")
     _check_keys(d, list(_META_TYPES), [], "meta")
-    return {k: _SCALAR_CHECKS[t](d[k], f"meta.{k}") for k, t in _META_TYPES.items()}
+    meta = {k: _SCALAR_CHECKS[t](d[k], f"meta.{k}") for k, t in _META_TYPES.items()}
+    if meta["frame_rate"] <= 0.0:
+        raise ConfigError(f"meta.frame_rate: must be > 0, got {meta['frame_rate']!r}")
+    if meta["frame_count"] < 0:
+        raise ConfigError(f"meta.frame_count: must be >= 0, got {meta['frame_count']!r}")
+    return meta
 
 
 # -- CSV -----------------------------------------------------------------------
@@ -525,28 +530,33 @@ def read_observations(path: str | Path) -> list[ObsRow]:
     return read_table(path, OBS_TABLE)
 
 
+def _row_error(r: ObsRow, what: str) -> MalformedInputError:
+    return MalformedInputError(
+        f"row with frame_index={r.frame_index}, camera_id={r.camera_id}, "
+        f"local_id={r.local_id}: {what}"
+    )
+
+
 def updates_from_rows(
     rows: Sequence[ObsRow],
     camera_ids: Iterable[int],
     frame_count: int,
     frame_rate: float,
 ) -> list[StreamUpdate]:
-    """Rebuild the full per-camera update grid, empty frames included."""
+    """Rebuild the full per-camera update grid, empty frames included.
+
+    Errors name the offending row by its (frame_index, camera_id, local_id).
+    """
     cams = sorted(camera_ids)
     grouped: dict[tuple[int, int], list[TrackState]] = {}
     for r in rows:
         if not (0 <= r.frame_index < frame_count):
-            raise MalformedInputError(
-                f"observation frame {r.frame_index} outside 0..{frame_count - 1}"
-            )
+            raise _row_error(r, f"frame outside 0..{frame_count - 1}")
         if r.camera_id not in cams:
-            raise MalformedInputError(f"observation for unknown camera {r.camera_id}")
+            raise _row_error(r, "unknown camera")
         expected_t = round(r.frame_index / frame_rate, 6)
         if r.t != expected_t:
-            raise MalformedInputError(
-                f"observation at frame {r.frame_index} has t={r.t}, "
-                f"expected {expected_t} at {frame_rate} fps"
-            )
+            raise _row_error(r, f"t={r.t}, expected {expected_t} at {frame_rate} fps")
         grouped.setdefault((r.frame_index, r.camera_id), []).append(
             TrackState(
                 t=r.t,

@@ -34,8 +34,6 @@ from .errors import CausalityError, ConfigError, MalformedInputError
 from .geometry import Point2, RoadFrame, Zone, get_zone, lateral_norm, point_in_polygon
 from .kinematics import (
     DEFAULT_SPEED_WINDOW,
-    DEFAULT_STOP_SPEED_KMH,
-    DEFAULT_STOP_THRESHOLD_M,
     KinematicState,
     MotionStatus,
     estimate_heading,
@@ -43,7 +41,7 @@ from .kinematics import (
     motion_status,
 )
 from .sync import Snapshot
-from .topology import EdgeKey, TopologyGraph, edge_is_entry, edge_is_exit
+from .topology import EdgeDef, EdgeKey, TopologyGraph, edge_is_exit
 from .tracks import GlobalTrajectory, TrackState, TrajRow
 
 # Heading projections smaller than this cannot pick a travel direction and
@@ -90,19 +88,6 @@ class MatcherConfig:
             raise ConfigError(f"eps_dist must be > 0 when set, got {self.eps_dist}")
         if self.gamma_dir is not None and not (-1.0 <= self.gamma_dir <= 1.0):
             raise ConfigError(f"gamma_dir must lie in [-1, 1], got {self.gamma_dir}")
-
-
-@dataclass(frozen=True)
-class KinematicsConfig:
-    speed_window: int = DEFAULT_SPEED_WINDOW
-    stop_speed_kmh: float = DEFAULT_STOP_SPEED_KMH
-    stop_threshold_m: float = DEFAULT_STOP_THRESHOLD_M
-
-    def __post_init__(self) -> None:
-        if self.speed_window < 1:
-            raise ConfigError(f"speed_window must be >= 1, got {self.speed_window}")
-        if self.stop_speed_kmh < 0.0 or self.stop_threshold_m < 0.0:
-            raise ConfigError("stop thresholds must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -217,15 +202,9 @@ class HandoverEngine:
     then the timeout sweep, cameras and local ids ascending throughout.
     """
 
-    def __init__(
-        self,
-        topology: TopologyGraph,
-        matcher: MatcherConfig | None = None,
-        kinematics: KinematicsConfig | None = None,
-    ) -> None:
+    def __init__(self, topology: TopologyGraph, matcher: MatcherConfig | None = None) -> None:
         self.topology = topology
         self.matcher = matcher if matcher is not None else MatcherConfig()
-        self.kinematics = kinematics if kinematics is not None else KinematicsConfig()
         self._buffers: dict[tuple[EdgeKey, Zone], DirectionalBuffer] = {}
         for e in topology.edges:
             for z in (Zone.UPPER, Zone.LOWER):
@@ -358,28 +337,6 @@ class HandoverEngine:
 
     # -- timeout sweep -------------------------------------------------------
 
-    def _sweep_buffers(self, now: float, frame_index: int) -> list[HandoverEvent]:
-        out: list[HandoverEvent] = []
-        for e in self.topology.edges:
-            for z in (Zone.UPPER, Zone.LOWER):
-                buf = self._buffers[(e.key, z)]
-                for entry in buf.sweep_expired(now, self.matcher.eps_time):
-                    out.append(
-                        HandoverEvent(
-                            kind=EventKind.EXPIRED,
-                            frame_index=frame_index,
-                            t=now,
-                            camera_id=entry.camera_id,
-                            local_id=entry.local_id,
-                            global_id=entry.global_id,
-                            edge=e.key,
-                            zone=z,
-                            y_rel=entry.y_rel,
-                            age=now - entry.t_exit,
-                        )
-                    )
-        return out
-
     def expire(self, now: float, frame_index: Optional[int] = None) -> list[HandoverEvent]:
         """Drop every buffered identity whose age reached the timeout.
 
@@ -388,13 +345,48 @@ class HandoverEngine:
         """
         if frame_index is None:
             frame_index = self._last_frame if self._last_frame is not None else 0
-        out = self._sweep_buffers(now, frame_index)
-        for ev in out:
-            self.counts[ev.kind.value] += 1
-        self.events.extend(out)
+        out = [
+            HandoverEvent(
+                kind=EventKind.EXPIRED,
+                frame_index=frame_index,
+                t=now,
+                camera_id=entry.camera_id,
+                local_id=entry.local_id,
+                global_id=entry.global_id,
+                edge=edge_key,
+                zone=zone,
+                y_rel=entry.y_rel,
+                age=now - entry.t_exit,
+            )
+            for (edge_key, zone), buf in self._buffers.items()
+            for entry in buf.sweep_expired(now, self.matcher.eps_time)
+        ]
+        self._log(out)
         return out
 
+    def _log(self, events: list[HandoverEvent]) -> None:
+        for ev in events:
+            self.counts[ev.kind.value] += 1
+        self.events.extend(events)
+
     # -- snapshot processing -------------------------------------------------
+
+    def _trigger_edges(
+        self, cam: int, pos: Point2, kin: KinematicState, leaving: bool
+    ) -> Iterator[tuple[EdgeDef, Zone, float]]:
+        """(edge, zone, lateral offset) for each trigger region holding ``pos``
+        that the track is leaving across, or arriving across when not ``leaving``.
+
+        At an edge's own cameras arriving is exactly not leaving, so one
+        direction test serves both.
+        """
+        for edge in self.topology.edges_at(cam):
+            zone = self._zone_for(pos, kin.heading_rad, kin.status, edge.frame)
+            if edge_is_exit(edge, cam, zone) != leaving:
+                continue
+            if not point_in_polygon(pos, edge.overlap):
+                continue
+            yield edge, zone, lateral_norm(pos, edge.frame)
 
     def process_snapshot(self, snap: Snapshot) -> list[HandoverEvent]:
         if self._last_frame is not None:
@@ -410,71 +402,62 @@ class HandoverEngine:
                 )
         self._last_frame = snap.frame_index
         self._last_t = snap.t
-        out: list[HandoverEvent] = []
-        cams = sorted(snap.per_camera)
-        visible: list[tuple[int, TrackState]] = []
-        for cam in cams:
-            seen: set[int] = set()
-            for st in sorted(snap.per_camera[cam], key=lambda s: s.local_id):
-                if st.local_id in seen:
+        # validate before touching any record; sorting puts a repeat next to its twin
+        per_camera: list[tuple[int, list[TrackState]]] = []
+        for cam in sorted(snap.per_camera):
+            tracks = sorted(snap.per_camera[cam], key=lambda s: s.local_id)
+            for a, b in zip(tracks, tracks[1:]):
+                if a.local_id == b.local_id:
                     raise MalformedInputError(
-                        f"camera {cam} reports local id {st.local_id} twice "
+                        f"camera {cam} reports local id {a.local_id} twice "
                         f"in frame {snap.frame_index}"
                     )
-                seen.add(st.local_id)
-                visible.append((cam, st))
+            per_camera.append((cam, tracks))
 
         # kinematics first: every visible track gets an updated estimate;
         # a touched record moves to the back, so records stay in last_t order
         records = self._records
-        k = self.kinematics.speed_window
-        stop_threshold = self.kinematics.stop_threshold_m
-        stop_speed = self.kinematics.stop_speed_kmh
+        k = DEFAULT_SPEED_WINDOW
         ordered: list[tuple[int, TrackState, _TrackRecord]] = []
-        for cam, st in visible:
-            key = (cam, st.local_id)
-            rec = records.pop(key, None)
-            if rec is None:
-                rec = _TrackRecord(px_hist=deque(maxlen=k + 1))
-            elif snap.frame_index != rec.last_frame + 1:
-                rec.px_hist.clear()  # a gap breaks the uniform-step speed window
-                rec.last_pos = None
-            records[key] = rec
-            rec.px_hist.append(st.pos_px)
-            speed = None
-            if len(rec.px_hist) > k:
-                speed = estimate_speed(rec.px_hist, self._calibration[cam], k)
-            if rec.last_pos is not None:
-                heading = estimate_heading(rec.last_pos, st.pos, rec.heading, stop_threshold)
-            else:
-                heading = rec.heading
-            status = None
-            if speed is not None:
-                status = motion_status(speed, stop_speed)
-            rec.kin = KinematicState(speed, heading, status)
-            rec.heading = heading
-            rec.last_pos = st.pos
-            rec.last_t = snap.t
-            rec.last_frame = snap.frame_index
-            ordered.append((cam, st, rec))
-
-        live: dict[int, set[int]] = {cam: set() for cam in cams}
-        for cam, _, rec in ordered:
-            if rec.global_id is not None:
-                live[cam].add(rec.global_id)
+        live: dict[int, set[int]] = {}
+        for cam, tracks in per_camera:
+            live_here = live[cam] = set()
+            for st in tracks:
+                key = (cam, st.local_id)
+                rec = records.pop(key, None)
+                if rec is None:
+                    rec = _TrackRecord(px_hist=deque(maxlen=k + 1))
+                elif snap.frame_index != rec.last_frame + 1:
+                    rec.px_hist.clear()  # a gap breaks the uniform-step speed window
+                    rec.last_pos = None
+                records[key] = rec
+                rec.px_hist.append(st.pos_px)
+                speed = None
+                if len(rec.px_hist) > k:
+                    speed = estimate_speed(rec.px_hist, self._calibration[cam], k)
+                if rec.last_pos is not None:
+                    heading = estimate_heading(rec.last_pos, st.pos, rec.heading)
+                else:
+                    heading = rec.heading
+                status = None
+                if speed is not None:
+                    status = motion_status(speed)
+                rec.kin = KinematicState(speed, heading, status)
+                rec.heading = heading
+                rec.last_pos = st.pos
+                rec.last_t = snap.t
+                rec.last_frame = snap.frame_index
+                if rec.global_id is not None:
+                    live_here.add(rec.global_id)
+                ordered.append((cam, st, rec))
 
         # identified tracks inside a trigger region park their id downstream
+        out: list[HandoverEvent] = []
         for cam, st, rec in ordered:
             if rec.global_id is None:
                 continue
             kin = rec.kin
-            for edge in self.topology.edges_at(cam):
-                zone = self._zone_for(st.pos, kin.heading_rad, kin.status, edge.frame)
-                if not edge_is_exit(edge, cam, zone):
-                    continue
-                if not point_in_polygon(st.pos, edge.overlap):
-                    continue
-                y_rel = lateral_norm(st.pos, edge.frame)
+            for edge, zone, y_rel in self._trigger_edges(cam, st.pos, kin, leaving=True):
                 self._buffers[(edge.key, zone)].push(
                     BufferEntry(
                         global_id=rec.global_id,
@@ -507,14 +490,7 @@ class HandoverEngine:
                 continue
             kin = rec.kin
             best = None
-            best_ctx = None
-            for edge in self.topology.edges_at(cam):
-                zone = self._zone_for(st.pos, kin.heading_rad, kin.status, edge.frame)
-                if not edge_is_entry(edge, cam, zone):
-                    continue
-                if not point_in_polygon(st.pos, edge.overlap):
-                    continue
-                y_rel = lateral_norm(st.pos, edge.frame)
+            for edge, zone, y_rel in self._trigger_edges(cam, st.pos, kin, leaving=False):
                 found = self._scan(
                     self._buffers[(edge.key, zone)],
                     snap.t,
@@ -523,12 +499,10 @@ class HandoverEngine:
                     kin.heading_rad,
                     live[cam],
                 )
-                if found is not None and (best is None or found[0] < best[0]):
-                    best = found
-                    best_ctx = (edge, zone, y_rel)
+                if found is not None and (best is None or found[0] < best[0][0]):
+                    best = (found, edge, zone, y_rel)
             if best is not None:
-                edge, zone, y_rel = best_ctx
-                entry = best[1]
+                (_, entry, age, residual), edge, zone, y_rel = best
                 self._buffers[(edge.key, zone)].remove(entry)
                 rec.global_id = entry.global_id
                 out.append(
@@ -542,8 +516,8 @@ class HandoverEngine:
                         edge=edge.key,
                         zone=zone,
                         y_rel=y_rel,
-                        age=best[2],
-                        residual=best[3],
+                        age=age,
+                        residual=residual,
                     )
                 )
             else:
@@ -560,8 +534,8 @@ class HandoverEngine:
                 )
             live[cam].add(rec.global_id)
 
-        # timeout sweep
-        out.extend(self._sweep_buffers(snap.t, snap.frame_index))
+        self._log(out)
+        out += self.expire(snap.t, snap.frame_index)
 
         # one output row per observation
         for cam, st, rec in ordered:
@@ -585,8 +559,4 @@ class HandoverEngine:
             if snap.t - records[key].last_t <= horizon:
                 break
             del records[key]
-
-        for ev in out:
-            self.counts[ev.kind.value] += 1
-        self.events.extend(out)
         return out

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .errors import GeometryError, InsufficientHistoryError
+from .errors import ConfigError, GeometryError, InsufficientHistoryError, MalformedInputError
 from .geometry import Point2
 
 DEFAULT_SPEED_WINDOW = 10        # frames between the two chord-speed samples
@@ -58,11 +58,11 @@ class KinematicState:
 
     def __post_init__(self) -> None:
         if self.speed_kmh is not None and self.speed_kmh < 0.0:
-            raise ValueError(f"speed_kmh must be >= 0, got {self.speed_kmh}")
+            raise MalformedInputError(f"speed_kmh must be >= 0, got {self.speed_kmh}")
         if (self.status is None) != (self.speed_kmh is None):
-            raise ValueError("status must be present exactly when speed is")
+            raise MalformedInputError("status must be present exactly when speed is")
         if self.heading_rad is not None and not (-math.pi < self.heading_rad <= math.pi):
-            raise ValueError(f"heading {self.heading_rad} outside (-pi, pi]")
+            raise MalformedInputError(f"heading {self.heading_rad} outside (-pi, pi]")
 
 
 def wrap_angle(a: float) -> float:
@@ -85,7 +85,7 @@ def estimate_speed(
     path length on a curved track.
     """
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ConfigError(f"k must be >= 1, got {k}")
     if len(positions) < k + 1:
         raise InsufficientHistoryError(
             f"need {k + 1} positions for k={k}, have {len(positions)}"

@@ -11,7 +11,7 @@ in ``bench_report.json``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -36,7 +36,8 @@ from .formats import (
     write_truth_obs,
     write_truth_tracks,
 )
-from .handover import HandoverEngine, HandoverEvent, KinematicsConfig, MatcherConfig
+from .errors import MalformedInputError
+from .handover import HandoverEngine, HandoverEvent, MatcherConfig
 from .metrics import (
     ObsKey,
     compute_hosr,
@@ -90,13 +91,12 @@ def stitch_updates(
     topology: TopologyGraph,
     updates: Iterable[StreamUpdate],
     matcher: Optional[MatcherConfig] = None,
-    kinematics: Optional[KinematicsConfig] = None,
     max_lag: Optional[int] = None,
     timing: bool = False,
 ) -> StitchResult:
     """Feed per-camera updates through the frame barrier into the engine."""
     barrier = SyncBarrier(BarrierConfig(camera_ids=topology.camera_ids, max_lag=max_lag))
-    engine = HandoverEngine(topology, matcher, kinematics)
+    engine = HandoverEngine(topology, matcher)
     result = StitchResult(engine=engine, snapshots=0, barrier_stats={})
 
     def consume(snap) -> None:
@@ -118,13 +118,7 @@ def stitch_updates(
             consume(snap)
     for snap in barrier.drain():
         consume(snap)
-    s = barrier.stats
-    result.barrier_stats = {
-        "ingested": s.ingested,
-        "released": s.released,
-        "dropped_late": s.dropped_late,
-        "peak_pending": s.peak_pending,
-    }
+    result.barrier_stats = asdict(barrier.stats)
     return result
 
 
@@ -157,15 +151,11 @@ def run_scenario(
     cfg: ScenarioConfig,
     seed: int,
     matcher: Optional[MatcherConfig] = None,
-    kinematics: Optional[KinematicsConfig] = None,
     max_lag: Optional[int] = None,
-    timing: bool = False,
 ) -> tuple[SimResult, StitchResult, dict]:
     """Simulate, stitch, and score one scenario in memory."""
     sim = run_sim(cfg, seed)
-    stitch = stitch_updates(
-        sim.topology, sim.updates, matcher, kinematics, max_lag, timing
-    )
+    stitch = stitch_updates(sim.topology, sim.updates, matcher, max_lag)
     gids = gid_index(stitch.engine.trajectories.values(), cfg.frame_rate)
     report = evaluate_stitch(
         sim.truth_handovers,
@@ -205,7 +195,6 @@ def stitch_dir(
     in_dir: str | Path,
     out_dir: Optional[str | Path] = None,
     matcher: Optional[MatcherConfig] = None,
-    kinematics: Optional[KinematicsConfig] = None,
     max_lag: Optional[int] = None,
     topology_path: Optional[str | Path] = None,
 ) -> StitchResult:
@@ -223,10 +212,13 @@ def stitch_dir(
         matcher = file_matcher
     meta = meta_from_dict(load_json(src / META))
     rows = read_observations(src / OBSERVATIONS)
-    updates = updates_from_rows(
-        rows, topology.camera_ids, meta["frame_count"], meta["frame_rate"]
-    )
-    stitch = stitch_updates(topology, updates, matcher, kinematics, max_lag)
+    try:
+        updates = updates_from_rows(
+            rows, topology.camera_ids, meta["frame_count"], meta["frame_rate"]
+        )
+    except MalformedInputError as e:
+        raise MalformedInputError(f"{src / OBSERVATIONS}: {e}") from None
+    stitch = stitch_updates(topology, updates, matcher, max_lag)
     out.mkdir(parents=True, exist_ok=True)
     write_trajectories(out / TRAJECTORIES, stitch.trajectory_rows(meta["frame_rate"]))
     write_events(out / EVENTS, stitch.events)
@@ -261,11 +253,10 @@ def run_to_dir(
     seed: int,
     out_dir: str | Path,
     matcher: Optional[MatcherConfig] = None,
-    kinematics: Optional[KinematicsConfig] = None,
     max_lag: Optional[int] = None,
 ) -> dict:
     """simulate + stitch + evaluate into one directory, all in memory."""
-    sim, stitch, report = run_scenario(cfg, seed, matcher, kinematics, max_lag)
+    sim, stitch, report = run_scenario(cfg, seed, matcher, max_lag)
     out = Path(out_dir)
     write_simulation(sim, out, matcher if matcher is not None else MatcherConfig())
     write_trajectories(out / TRAJECTORIES, stitch.trajectory_rows(cfg.frame_rate))
@@ -278,14 +269,11 @@ def bench_scenario(
     cfg: ScenarioConfig,
     seed: int,
     matcher: Optional[MatcherConfig] = None,
-    kinematics: Optional[KinematicsConfig] = None,
     out_dir: Optional[str | Path] = None,
 ) -> dict:
     """Timed stitching run; the only artifact with wall-clock numbers."""
     sim = run_sim(cfg, seed)
-    stitch = stitch_updates(
-        sim.topology, sim.updates, matcher, kinematics, timing=True
-    )
+    stitch = stitch_updates(sim.topology, sim.updates, matcher, timing=True)
     bench = {
         "scenario": cfg.name,
         "seed": seed,

@@ -12,7 +12,7 @@ camera is flagged in the snapshot metadata.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .errors import CausalityError, ConfigError, MalformedInputError
@@ -85,10 +85,9 @@ class SyncBarrier:
         self.cfg = cfg
         self._lock = threading.Lock()
         self._cams = sorted(cfg.camera_ids)
-        self._pending: dict[int, dict[int, StreamUpdate]] = {c: {} for c in cfg.camera_ids}
+        self._pending: dict[int, dict[int, StreamUpdate]] = {}  # frame -> camera -> update
         self._pending_total = 0
         self._last_ingested: dict[int, int] = {c: -1 for c in cfg.camera_ids}
-        self._frames: set[int] = set()
         self._released_frame = -1
         self.stats = BarrierStats()
 
@@ -109,53 +108,44 @@ class SyncBarrier:
                 # Only reachable when max_lag already forced the frame out.
                 self.stats.dropped_late += 1
                 return
-            self._pending[cam][update.frame_index] = update
-            self._frames.add(update.frame_index)
+            self._pending.setdefault(update.frame_index, {})[cam] = update
             self.stats.ingested += 1
             self._pending_total += 1
             if self._pending_total > self.stats.peak_pending:
                 self.stats.peak_pending = self._pending_total
 
     def try_release(self) -> Optional[Snapshot]:
+        """Release the oldest pending frame once every camera's last delivery
+        has reached it, or, with ``max_lag``, once the fastest camera is more
+        than ``max_lag`` frames past it; cameras still short of it stall."""
         with self._lock:
-            if not self._frames:
+            if not self._pending:
                 return None
-            frame = min(self._frames)
+            frame = min(self._pending)
+            last = self._last_ingested
+            if min(last.values()) < frame and (
+                self.cfg.max_lag is None or max(last.values()) - frame <= self.cfg.max_lag
+            ):
+                return None
+            updates = self._pending[frame]
+            t = updates[min(updates)].t
             per_camera: dict[int, tuple[TrackState, ...]] = {}
-            stalled: set[int] = set()
-            t_val: Optional[float] = None
             for cam in self._cams:
-                upd = self._pending[cam].get(frame)
-                if upd is not None:
-                    per_camera[cam] = upd.tracks
-                    if t_val is None:
-                        t_val = upd.t
-                    elif upd.t != t_val:
-                        raise MalformedInputError(
-                            f"frame {frame}: cameras disagree on time ({upd.t} vs {t_val})"
-                        )
-                elif self._last_ingested[cam] > frame:
-                    per_camera[cam] = ()
-                elif (
-                    self.cfg.max_lag is not None
-                    and max(self._last_ingested.values()) - frame > self.cfg.max_lag
-                ):
-                    per_camera[cam] = ()
-                    stalled.add(cam)
-                else:
-                    return None
-            assert t_val is not None  # at least one camera delivered this frame
-            for cam in self._cams:
-                if self._pending[cam].pop(frame, None) is not None:
-                    self._pending_total -= 1
-            self._frames.discard(frame)
+                upd = updates.get(cam)
+                if upd is not None and upd.t != t:
+                    raise MalformedInputError(
+                        f"frame {frame}: cameras disagree on time ({upd.t} vs {t})"
+                    )
+                per_camera[cam] = () if upd is None else upd.tracks
+            del self._pending[frame]
+            self._pending_total -= len(updates)
             self._released_frame = frame
             self.stats.released += 1
             return Snapshot(
                 frame_index=frame,
-                t=t_val,
+                t=t,
                 per_camera=per_camera,
-                stalled=frozenset(stalled),
+                stalled=frozenset(c for c in self._cams if last[c] < frame),
             )
 
     def drain(self) -> list[Snapshot]:

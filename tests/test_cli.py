@@ -1,10 +1,20 @@
+import copy
+import io
 import json
+import math
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from camchain import cli
 from camchain import pipeline as pl
-from camchain.formats import load_json
+from camchain.formats import load_json, scenario_from_dict, scenario_to_dict, topology_to_dict
+from camchain.handover import MatcherConfig
+from camchain.simulator import build_topology
 from test_formats import BAD_SCENARIOS
 
 
@@ -195,6 +205,43 @@ class TestExitCodes:
         assert run_cli(command, "--in-dir", str(d)) == 5
         assert f"{name}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key,value", [("frame_rate", 0.0), ("frame_count", -1)], ids=["rate", "count"]
+    )
+    def test_meta_out_of_range_is_4(self, tmp_path, fixtures_dir, capsys, key, value):
+        d = self.simulate_small(tmp_path, fixtures_dir)
+        meta = load_json(d / pl.META)
+        meta[key] = value
+        (d / pl.META).write_text(json.dumps(meta))
+        assert run_cli("stitch", "--in-dir", str(d)) == 4
+        assert f"meta.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "column,value,fault",
+        [
+            ("frame_index", "100000", "frame outside"),
+            ("camera_id", "99", "unknown camera"),
+            ("t", "999.000000", "t=999.0"),
+        ],
+        ids=["frame", "camera", "time"],
+    )
+    def test_grid_faults_name_file_and_row_5(
+        self, tmp_path, fixtures_dir, capsys, column, value, fault
+    ):
+        d = self.simulate_small(tmp_path, fixtures_dir)
+        lines = (d / pl.OBSERVATIONS).read_text().splitlines()
+        header = lines[0].split(",")
+        cells = lines[-1].split(",")  # the last row, so the key order survives
+        cells[header.index(column)] = value
+        lines[-1] = ",".join(cells)
+        (d / pl.OBSERVATIONS).write_text("\n".join(lines) + "\n")
+        assert run_cli("stitch", "--in-dir", str(d)) == 5
+        err = capsys.readouterr().err
+        frame, cam, local = cells[:3]
+        assert f"{pl.OBSERVATIONS}: " in err
+        assert f"frame_index={frame}, camera_id={cam}, local_id={local}" in err
+        assert fault in err
+
     @pytest.mark.parametrize("bad", list(BAD_SCENARIOS.values()), ids=list(BAD_SCENARIOS))
     def test_mistyped_scenario_scalars_are_4(self, tmp_path, bad):
         scenario = tmp_path / "scenario.json"
@@ -213,3 +260,87 @@ class TestExitCodes:
         d = self.simulate_small(tmp_path, fixtures_dir)
         (d / pl.OBSERVATIONS).unlink()
         assert run_cli("stitch", "--in-dir", str(d)) == 6
+
+
+# -- one JSON scalar replaced, end to end ---------------------------------------
+
+# No large positive numbers: a large frame_count or duration_s legitimately
+# allocates that many frames or runs that long.
+JSON_VALUES = [math.nan, math.inf, -1, 0, 1.5, True, None, "x", []]
+
+_FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+_SMALL = replace(
+    scenario_from_dict(load_json(_FIXTURES / "scenario_freeflow.json")), duration_s=10.0
+)
+_TOPOLOGY = topology_to_dict(build_topology(_SMALL), MatcherConfig())
+_SCENARIO = {
+    **scenario_to_dict(_SMALL),
+    "duration_s": 4.0,
+    "scripted_vehicles": [{"spawn_t": 0.0, "speed_kmh": 54.0, "lane": 0, "direction": 1}],
+    "wave_zone": [100.0, 200.0],
+    "wave_windows": [[1.0, 2.0]],
+}
+
+
+def _leaves(obj, path=()):
+    """Path of every scalar, empty list and empty object inside ``obj``."""
+    if isinstance(obj, dict) and obj:
+        for k, v in obj.items():
+            yield from _leaves(v, path + (k,))
+    elif isinstance(obj, list) and obj:
+        for i, v in enumerate(obj):
+            yield from _leaves(v, path + (i,))
+    else:
+        yield path
+
+
+def _replaced(obj, path, value):
+    obj = copy.deepcopy(obj)
+    inner = obj
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return obj
+
+
+_LEAVES = {
+    pl.META: [(k,) for k in ("duration_s", "frame_count", "frame_rate", "n_cameras", "name", "seed")],
+    pl.TOPOLOGY: list(_leaves(_TOPOLOGY)),
+    pl.SCENARIO: list(_leaves(_SCENARIO)),
+}
+_TARGETS = st.sampled_from(sorted(_LEAVES)).flatmap(
+    lambda name: st.tuples(st.just(name), st.sampled_from(_LEAVES[name]))
+)
+
+
+@pytest.fixture(scope="module")
+def json_fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("json_fuzz")
+    pl.simulate_to_dir(_SMALL, 2, root / "base")
+    return root, load_json(root / "base" / pl.META)
+
+
+class TestJsonFuzz:
+    @given(target=_TARGETS, value=st.sampled_from(JSON_VALUES))
+    @example(target=(pl.META, ("frame_rate",)), value=0)
+    def test_one_replaced_scalar_exits_with_a_documented_code(
+        self, json_fuzz_dir, target, value
+    ):
+        """meta.json or topology.json then stitch, or a scenario then simulate."""
+        root, meta = json_fuzz_dir
+        docs = {pl.META: meta, pl.TOPOLOGY: _TOPOLOGY, pl.SCENARIO: _SCENARIO}
+        name, path = target
+        docs[name] = _replaced(docs[name], path, value)
+        if name == pl.SCENARIO:
+            (root / pl.SCENARIO).write_text(json.dumps(docs[name]))
+            argv = ("simulate", "--scenario", str(root / pl.SCENARIO), "--seed", "2",
+                    "--out-dir", str(root / "sim"))
+        else:
+            for f in (pl.META, pl.TOPOLOGY):
+                (root / "base" / f).write_text(json.dumps(docs[f]))
+            argv = ("stitch", "--in-dir", str(root / "base"), "--out-dir", str(root / "out"))
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = run_cli(*argv)
+        assert code in (0, 3, 4, 5), err.getvalue()
+        assert "Traceback" not in err.getvalue()

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from camchain.errors import GeometryError, InsufficientHistoryError
+from camchain.errors import (
+    CamchainError,
+    ConfigError,
+    GeometryError,
+    InsufficientHistoryError,
+    MalformedInputError,
+)
 from camchain.geometry import Point2
 from camchain.kinematics import (
     Calibration,
@@ -163,3 +169,24 @@ class TestValidation:
             KinematicState(None, None, MotionStatus.STOPPED)  # status without speed
         with pytest.raises(ValueError):
             KinematicState(5.0, -math.pi, MotionStatus.MOVING)  # open end of range
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (-1.0, None, MotionStatus.MOVING),
+            (5.0, None, None),
+            (None, None, MotionStatus.STOPPED),
+            (5.0, -math.pi, MotionStatus.MOVING),
+        ],
+        ids=["negative-speed", "speed-without-status", "status-without-speed", "heading"],
+    )
+    def test_kinematic_state_errors_are_typed(self, args):
+        with pytest.raises(MalformedInputError) as ei:
+            KinematicState(*args)
+        assert isinstance(ei.value, CamchainError)
+
+    def test_speed_window_error_is_typed(self):
+        cal = Calibration(m_per_px=0.05, frame_dt=0.1)
+        with pytest.raises(ConfigError) as ei:
+            estimate_speed(straight_px_track(5, 1.0), cal, k=0)
+        assert isinstance(ei.value, CamchainError)
