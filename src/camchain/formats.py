@@ -479,17 +479,6 @@ def read_table(path: str | Path, table: Table) -> list:
     return rows
 
 
-class ObsRow(NamedTuple):
-    frame_index: int
-    camera_id: int
-    local_id: int
-    t: float
-    x_px: float
-    y_px: float
-    x_m: float
-    y_m: float
-
-
 class EventRow(NamedTuple):
     kind: str
     frame_index: int
@@ -506,7 +495,7 @@ class EventRow(NamedTuple):
 
 
 _OBS_KEY = ("frame_index", "camera_id", "local_id")
-OBS_TABLE = Table(ObsRow, key=_OBS_KEY)
+OBS_TABLE = Table(TrackState, key=_OBS_KEY)
 TRAJ_TABLE = Table(TrajRow, key=_OBS_KEY, vocab={"status": MotionStatus})
 EVENT_TABLE = Table(EventRow, vocab={"kind": EventKind, "zone": Zone})  # engine order
 TRUTH_OBS_TABLE = Table(TruthObs, key=_OBS_KEY)
@@ -519,18 +508,14 @@ EVENT_HEADER = EVENT_TABLE.header
 
 
 def write_observations(path: str | Path, updates: Iterable[StreamUpdate]) -> int:
-    rows = (
-        (u.frame_index, s.camera_id, s.local_id, s.t, s.pos_px.x, s.pos_px.y, s.pos.x, s.pos.y)
-        for u in updates for s in u.tracks
-    )
-    return write_table(path, OBS_TABLE, rows)
+    return write_table(path, OBS_TABLE, (s for u in updates for s in u.tracks))
 
 
-def read_observations(path: str | Path) -> list[ObsRow]:
+def read_observations(path: str | Path) -> list[TrackState]:
     return read_table(path, OBS_TABLE)
 
 
-def _row_error(r: ObsRow, what: str) -> MalformedInputError:
+def _row_error(r: TrackState, what: str) -> MalformedInputError:
     return MalformedInputError(
         f"row with frame_index={r.frame_index}, camera_id={r.camera_id}, "
         f"local_id={r.local_id}: {what}"
@@ -538,47 +523,33 @@ def _row_error(r: ObsRow, what: str) -> MalformedInputError:
 
 
 def updates_from_rows(
-    rows: Sequence[ObsRow],
+    rows: Sequence[TrackState],
     camera_ids: Iterable[int],
     frame_count: int,
     frame_rate: float,
 ) -> list[StreamUpdate]:
-    """Rebuild the full per-camera update grid, empty frames included.
+    """Group the rows into the full per-camera update grid, empty frames included.
 
     Errors name the offending row by its (frame_index, camera_id, local_id).
     """
     cams = sorted(camera_ids)
+    known = set(cams)
+    times = [round(f / frame_rate, 6) for f in range(frame_count)]
     grouped: dict[tuple[int, int], list[TrackState]] = {}
     for r in rows:
-        if not (0 <= r.frame_index < frame_count):
+        f = r.frame_index
+        if not (0 <= f < frame_count):
             raise _row_error(r, f"frame outside 0..{frame_count - 1}")
-        if r.camera_id not in cams:
+        if r.camera_id not in known:
             raise _row_error(r, "unknown camera")
-        expected_t = round(r.frame_index / frame_rate, 6)
-        if r.t != expected_t:
-            raise _row_error(r, f"t={r.t}, expected {expected_t} at {frame_rate} fps")
-        grouped.setdefault((r.frame_index, r.camera_id), []).append(
-            TrackState(
-                t=r.t,
-                camera_id=r.camera_id,
-                local_id=r.local_id,
-                pos=Point2(r.x_m, r.y_m),
-                pos_px=Point2(r.x_px, r.y_px),
-            )
-        )
-    out = []
-    for f in range(frame_count):
-        t = round(f / frame_rate, 6)
-        for cam in cams:
-            out.append(
-                StreamUpdate(
-                    camera_id=cam,
-                    frame_index=f,
-                    t=t,
-                    tracks=tuple(grouped.get((f, cam), ())),
-                )
-            )
-    return out
+        if r.t != times[f]:
+            raise _row_error(r, f"t={r.t}, expected {times[f]} at {frame_rate} fps")
+        grouped.setdefault((f, r.camera_id), []).append(r)
+    # every empty cell shares the one ()
+    return [
+        StreamUpdate(cam, f, t, tuple(grouped.get((f, cam), ())))
+        for f, t in enumerate(times) for cam in cams
+    ]
 
 
 def write_trajectories(path: str | Path, rows: Iterable[TrajRow]) -> int:

@@ -28,6 +28,7 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Container, Iterable, Iterator, Optional
 
 from .errors import CausalityError, ConfigError, MalformedInputError
@@ -90,7 +91,7 @@ class MatcherConfig:
             raise ConfigError(f"gamma_dir must lie in [-1, 1], got {self.gamma_dir}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BufferEntry:
     """One parked identity awaiting pickup on the far side of an edge."""
 
@@ -111,7 +112,7 @@ class EventKind(Enum):
     EXPIRED = "expired"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HandoverEvent:
     kind: EventKind
     frame_index: int
@@ -184,7 +185,7 @@ class DirectionalBuffer:
 class _TrackRecord:
     """Mutable per-(camera, local id) bookkeeping inside the engine."""
 
-    px_hist: deque  # the last speed_window + 1 pixel positions
+    px_hist: deque  # the last speed_window + 1 (x_px, y_px) positions
     global_id: Optional[int] = None
     last_t: float = 0.0
     last_frame: Optional[int] = None
@@ -247,7 +248,7 @@ class HandoverEngine:
         }
 
     def total_buffered(self) -> int:
-        return sum(len(b) for b in self._buffers.values())
+        return sum(len(b._entries) for b in self._buffers.values())
 
     # -- zone inference ----------------------------------------------------
 
@@ -359,6 +360,7 @@ class HandoverEngine:
                 age=now - entry.t_exit,
             )
             for (edge_key, zone), buf in self._buffers.items()
+            if buf._entries
             for entry in buf.sweep_expired(now, self.matcher.eps_time)
         ]
         self._log(out)
@@ -404,8 +406,10 @@ class HandoverEngine:
         self._last_t = snap.t
         # validate before touching any record; sorting puts a repeat next to its twin
         per_camera: list[tuple[int, list[TrackState]]] = []
-        for cam in sorted(snap.per_camera):
-            tracks = sorted(snap.per_camera[cam], key=lambda s: s.local_id)
+        for cam, tracks in sorted(snap.per_camera.items()):
+            if not tracks:  # an idle camera has nothing to validate or update
+                continue
+            tracks = sorted(tracks, key=attrgetter("local_id"))
             for a, b in zip(tracks, tracks[1:]):
                 if a.local_id == b.local_id:
                     raise MalformedInputError(
@@ -418,7 +422,7 @@ class HandoverEngine:
         # a touched record moves to the back, so records stay in last_t order
         records = self._records
         k = DEFAULT_SPEED_WINDOW
-        ordered: list[tuple[int, TrackState, _TrackRecord]] = []
+        ordered: list[tuple[int, TrackState, _TrackRecord, Point2]] = []
         live: dict[int, set[int]] = {}
         for cam, tracks in per_camera:
             live_here = live[cam] = set()
@@ -431,33 +435,31 @@ class HandoverEngine:
                     rec.px_hist.clear()  # a gap breaks the uniform-step speed window
                     rec.last_pos = None
                 records[key] = rec
-                rec.px_hist.append(st.pos_px)
-                speed = None
+                rec.px_hist.append((st.x_px, st.y_px))
+                speed = status = None
                 if len(rec.px_hist) > k:
                     speed = estimate_speed(rec.px_hist, self._calibration[cam], k)
-                if rec.last_pos is not None:
-                    heading = estimate_heading(rec.last_pos, st.pos, rec.heading)
-                else:
-                    heading = rec.heading
-                status = None
-                if speed is not None:
                     status = motion_status(speed)
+                pos = Point2(st.x_m, st.y_m)
+                heading = rec.heading
+                if rec.last_pos is not None:
+                    heading = estimate_heading(rec.last_pos, pos, heading)
                 rec.kin = KinematicState(speed, heading, status)
                 rec.heading = heading
-                rec.last_pos = st.pos
+                rec.last_pos = pos
                 rec.last_t = snap.t
                 rec.last_frame = snap.frame_index
                 if rec.global_id is not None:
                     live_here.add(rec.global_id)
-                ordered.append((cam, st, rec))
+                ordered.append((cam, st, rec, pos))
 
         # identified tracks inside a trigger region park their id downstream
         out: list[HandoverEvent] = []
-        for cam, st, rec in ordered:
+        for cam, st, rec, pos in ordered:
             if rec.global_id is None:
                 continue
             kin = rec.kin
-            for edge, zone, y_rel in self._trigger_edges(cam, st.pos, kin, leaving=True):
+            for edge, zone, y_rel in self._trigger_edges(cam, pos, kin, leaving=True):
                 self._buffers[(edge.key, zone)].push(
                     BufferEntry(
                         global_id=rec.global_id,
@@ -467,7 +469,7 @@ class HandoverEngine:
                         y_rel=y_rel,
                         seq=self._take_seq(),
                         heading=kin.heading_rad,
-                        pos=st.pos,
+                        pos=pos,
                     )
                 )
                 out.append(
@@ -485,17 +487,17 @@ class HandoverEngine:
                 )
 
         # unidentified tracks inherit a parked id or mint a fresh one
-        for cam, st, rec in ordered:
+        for cam, st, rec, pos in ordered:
             if rec.global_id is not None:
                 continue
             kin = rec.kin
             best = None
-            for edge, zone, y_rel in self._trigger_edges(cam, st.pos, kin, leaving=False):
+            for edge, zone, y_rel in self._trigger_edges(cam, pos, kin, leaving=False):
                 found = self._scan(
                     self._buffers[(edge.key, zone)],
                     snap.t,
                     y_rel,
-                    st.pos,
+                    pos,
                     kin.heading_rad,
                     live[cam],
                 )
@@ -538,7 +540,7 @@ class HandoverEngine:
         out += self.expire(snap.t, snap.frame_index)
 
         # one output row per observation
-        for cam, st, rec in ordered:
+        for cam, st, rec, pos in ordered:
             gid = rec.global_id
             traj = self.trajectories.get(gid)
             if traj is None:
@@ -547,7 +549,7 @@ class HandoverEngine:
             kin = rec.kin
             traj.states.append(
                 TrajRow(
-                    gid, snap.frame_index, st.camera_id, st.local_id, st.t, st.pos.x, st.pos.y,
+                    gid, snap.frame_index, st.camera_id, st.local_id, st.t, pos.x, pos.y,
                     kin.speed_kmh, kin.heading_rad, _STATUS_VALUE[kin.status],
                 )
             )

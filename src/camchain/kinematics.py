@@ -43,7 +43,7 @@ class Calibration:
             raise GeometryError(f"frame_dt must be positive, got {self.frame_dt}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KinematicState:
     """Estimated kinematics for one track at one instant.
 
@@ -74,7 +74,7 @@ def wrap_angle(a: float) -> float:
 
 
 def estimate_speed(
-    positions: Sequence[Point2],
+    positions: Sequence[tuple[float, float]],
     cal: Calibration,
     k: int = DEFAULT_SPEED_WINDOW,
 ) -> float:

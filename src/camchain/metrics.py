@@ -110,18 +110,18 @@ def compute_idf1(
     overlap-count matrix.
     """
     t_ids = sorted({o.vehicle_id for o in truth_obs})
-    obs_gid = [
-        (o, gids.get((o.frame_index, o.camera_id, o.local_id))) for o in truth_obs
-    ]
-    p_ids = sorted({g for _, g in obs_gid if g is not None})
+    # one label per observation, not an (observation, label) pair: a pair
+    # per observation would be as many new objects for the cyclic GC to track
+    labels = [gids.get((o.frame_index, o.camera_id, o.local_id)) for o in truth_obs]
+    p_ids = sorted({g for g in labels if g is not None})
     n_truth = len(truth_obs)
-    n_pred = sum(1 for _, g in obs_gid if g is not None)
+    n_pred = n_truth - labels.count(None)
     if not t_ids or not p_ids:
         return IdScore(idtp=0, idfp=n_pred, idfn=n_truth)
     t_pos = {v: i for i, v in enumerate(t_ids)}
     p_pos = {g: j for j, g in enumerate(p_ids)}
     overlap = np.zeros((len(t_ids), len(p_ids)), dtype=np.int64)
-    for o, g in obs_gid:
+    for o, g in zip(truth_obs, labels):
         if g is not None:
             overlap[t_pos[o.vehicle_id], p_pos[g]] += 1
     rows, cols = linear_sum_assignment(overlap, maximize=True)

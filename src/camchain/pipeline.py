@@ -36,7 +36,7 @@ from .formats import (
     write_truth_obs,
     write_truth_tracks,
 )
-from .errors import MalformedInputError
+from .errors import ConfigError, MalformedInputError
 from .handover import HandoverEngine, HandoverEvent, MatcherConfig
 from .metrics import (
     ObsKey,
@@ -211,16 +211,23 @@ def stitch_dir(
     if matcher is None:
         matcher = file_matcher
     meta = meta_from_dict(load_json(src / META))
+    rate, n_cams = meta["frame_rate"], len(topology.nodes)
+    if meta["n_cameras"] != n_cams:
+        raise ConfigError(f"meta.n_cameras: {meta['n_cameras']}, but the topology has {n_cams}")
+    for i, node in enumerate(topology.nodes):
+        # every row's t is frame_index / frame_rate, so no other frame period fits
+        if abs(node.calibration.frame_dt * rate - 1.0) > 1e-9:
+            raise ConfigError(
+                f"topology.cameras[{i}].frame_dt: {node.calibration.frame_dt} != 1 / {rate} fps"
+            )
     rows = read_observations(src / OBSERVATIONS)
     try:
-        updates = updates_from_rows(
-            rows, topology.camera_ids, meta["frame_count"], meta["frame_rate"]
-        )
+        updates = updates_from_rows(rows, topology.camera_ids, meta["frame_count"], rate)
     except MalformedInputError as e:
         raise MalformedInputError(f"{src / OBSERVATIONS}: {e}") from None
     stitch = stitch_updates(topology, updates, matcher, max_lag)
     out.mkdir(parents=True, exist_ok=True)
-    write_trajectories(out / TRAJECTORIES, stitch.trajectory_rows(meta["frame_rate"]))
+    write_trajectories(out / TRAJECTORIES, stitch.trajectory_rows(rate))
     write_events(out / EVENTS, stitch.events)
     return stitch
 

@@ -698,15 +698,10 @@ class World:
                     self._lid_counter[cam] += 1
                     lid = self._lid_counter[cam]
                 res[v.vid] = (lid, f)
-                tracks.append(
-                    TrackState(
-                        t_report,
-                        cam,
-                        lid,
-                        Point2(round(px * lam, 6), round(py * lam, 6)),
-                        Point2(round(px, 6), round(py, 6)),
-                    )
-                )
+                tracks.append(TrackState(
+                    f, cam, lid, t_report,
+                    round(px, 6), round(py, 6), round(px * lam, 6), round(py * lam, 6),
+                ))
                 self.truth_obs.append(TruthObs(f, cam, lid, v.vid))
             self._reports.append((cam, f, t_report, tuple(tracks)))
 

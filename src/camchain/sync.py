@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from operator import countOf
 from typing import Mapping, Optional
 
 from .errors import CausalityError, ConfigError, MalformedInputError
 from .tracks import TrackState
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StreamUpdate:
     """Everything one camera saw at one frame."""
 
@@ -40,9 +41,13 @@ class StreamUpdate:
                 raise MalformedInputError(
                     f"track time {ts.t} differs from update time {self.t}"
                 )
+            if ts.frame_index != self.frame_index:
+                raise MalformedInputError(
+                    f"track frame {ts.frame_index} inside update for frame {self.frame_index}"
+                )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Snapshot:
     """One released frame: every registered camera maps to its track list."""
 
@@ -88,27 +93,35 @@ class SyncBarrier:
         self._pending: dict[int, dict[int, StreamUpdate]] = {}  # frame -> camera -> update
         self._pending_total = 0
         self._last_ingested: dict[int, int] = {c: -1 for c in cfg.camera_ids}
+        # watermarks over _last_ingested, exact because each entry only grows
+        self._low = self._high = -1
+        self._at_low = len(self._cams)  # cameras whose last delivery is _low
         self._released_frame = -1
         self.stats = BarrierStats()
 
     def ingest(self, update: StreamUpdate) -> None:
         with self._lock:
-            cam = update.camera_id
+            cam, frame, last = update.camera_id, update.frame_index, self._last_ingested
             if cam not in self.cfg.camera_ids:
                 raise ConfigError(f"camera {cam} is not registered with the barrier")
-            if update.frame_index < 0:
-                raise MalformedInputError(f"negative frame index {update.frame_index}")
-            if update.frame_index <= self._last_ingested[cam]:
+            if frame < 0:
+                raise MalformedInputError(f"negative frame index {frame}")
+            if frame <= last[cam]:
                 raise CausalityError(
-                    f"camera {cam} delivered frame {update.frame_index} after "
-                    f"frame {self._last_ingested[cam]}"
+                    f"camera {cam} delivered frame {frame} after frame {last[cam]}"
                 )
-            self._last_ingested[cam] = update.frame_index
-            if update.frame_index <= self._released_frame:
+            if last[cam] == self._low:
+                self._at_low -= 1
+            last[cam] = frame
+            if not self._at_low:  # the last camera at the low watermark moved on
+                self._low = min(last.values())
+                self._at_low = countOf(last.values(), self._low)
+            self._high = max(self._high, frame)
+            if frame <= self._released_frame:
                 # Only reachable when max_lag already forced the frame out.
                 self.stats.dropped_late += 1
                 return
-            self._pending.setdefault(update.frame_index, {})[cam] = update
+            self._pending.setdefault(frame, {})[cam] = update
             self.stats.ingested += 1
             self._pending_total += 1
             if self._pending_total > self.stats.peak_pending:
@@ -122,9 +135,8 @@ class SyncBarrier:
             if not self._pending:
                 return None
             frame = min(self._pending)
-            last = self._last_ingested
-            if min(last.values()) < frame and (
-                self.cfg.max_lag is None or max(last.values()) - frame <= self.cfg.max_lag
+            if self._low < frame and (
+                self.cfg.max_lag is None or self._high - frame <= self.cfg.max_lag
             ):
                 return None
             updates = self._pending[frame]
@@ -145,7 +157,7 @@ class SyncBarrier:
                 frame_index=frame,
                 t=t,
                 per_camera=per_camera,
-                stalled=frozenset(c for c in self._cams if last[c] < frame),
+                stalled=frozenset(c for c in self._cams if self._last_ingested[c] < frame),
             )
 
     def drain(self) -> list[Snapshot]:

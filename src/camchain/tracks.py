@@ -9,17 +9,28 @@ from .geometry import Point2
 
 
 class TrackState(NamedTuple):
-    """One observation of one per-camera track.
+    """One observation of one per-camera track: a row of ``observations.csv``.
 
-    ``pos`` is the metric ground-plane position, ``pos_px`` the same point in
-    the camera's pixel frame.
+    ``x_px, y_px`` is the point in the camera's pixel frame and ``x_m, y_m``
+    the same point on the metric ground plane.
     """
 
-    t: float
+    frame_index: int
     camera_id: int
     local_id: int
-    pos: Point2
-    pos_px: Point2
+    t: float
+    x_px: float
+    y_px: float
+    x_m: float
+    y_m: float
+
+    @property
+    def pos(self) -> Point2:
+        return Point2(self.x_m, self.y_m)
+
+    @property
+    def pos_px(self) -> Point2:
+        return Point2(self.x_px, self.y_px)
 
 
 class TrajRow(NamedTuple):

@@ -54,8 +54,8 @@ def gapped_graph() -> TopologyGraph:
 
 def ts(cam: int, lid: int, t: float, x: float, y: float) -> TrackState:
     return TrackState(
-        t=t, camera_id=cam, local_id=lid,
-        pos=Point2(x, y), pos_px=Point2(x / LAM, y / LAM),
+        frame_index=round(t * FPS), camera_id=cam, local_id=lid, t=t,
+        x_px=x / LAM, y_px=y / LAM, x_m=x, y_m=y,
     )
 
 

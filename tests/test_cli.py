@@ -216,6 +216,24 @@ class TestExitCodes:
         assert run_cli("stitch", "--in-dir", str(d)) == 4
         assert f"meta.{key}" in capsys.readouterr().err
 
+    def test_frame_dt_off_the_frame_rate_is_4(self, tmp_path, fixtures_dir, capsys):
+        d = self.simulate_small(tmp_path, fixtures_dir)
+        topo = load_json(d / pl.TOPOLOGY)
+        topo["cameras"][1]["frame_dt"] = 1.5  # 10 fps data
+        (d / pl.TOPOLOGY).write_text(json.dumps(topo))
+        assert run_cli("stitch", "--in-dir", str(d)) == 4
+        assert "topology.cameras[1].frame_dt" in capsys.readouterr().err
+        assert not (d / pl.TRAJECTORIES).exists()
+
+    @pytest.mark.parametrize("value", [-1, 0, 99])
+    def test_n_cameras_off_the_topology_is_4(self, tmp_path, fixtures_dir, capsys, value):
+        d = self.simulate_small(tmp_path, fixtures_dir)
+        meta = load_json(d / pl.META)
+        meta["n_cameras"] = value
+        (d / pl.META).write_text(json.dumps(meta))
+        assert run_cli("stitch", "--in-dir", str(d)) == 4
+        assert "meta.n_cameras" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "column,value,fault",
         [

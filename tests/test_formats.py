@@ -300,6 +300,17 @@ class TestObservationsCsv:
         with pytest.raises(MalformedInputError):
             updates_from_rows(rows, [1, 2, 3], frame_count=sim.frame_count, frame_rate=25.0)
 
+    def test_grid_hands_on_the_rows_it_was_given(self, tmp_path):
+        sim, p = self.write_small(tmp_path)
+        rows = read_observations(p)
+        grid = updates_from_rows(rows, [1, 2, 3], sim.frame_count, sim.config.frame_rate)
+        # the grid is in (frame, camera) order, as the file is
+        tracks = [s for u in grid for s in u.tracks]
+        assert len(tracks) == len(rows)
+        assert all(s is r for s, r in zip(tracks, rows))
+        empty = [u.tracks for u in grid if not u.tracks]
+        assert empty and all(e is empty[0] for e in empty)
+
 
 class TestTrajectoriesCsv:
     def test_round_trip_with_missing_kinematics(self, tmp_path):

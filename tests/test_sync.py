@@ -1,13 +1,14 @@
 import random
 import sys
 import threading
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from camchain.errors import CausalityError, ConfigError, MalformedInputError
-from camchain.sync import BarrierConfig, StreamUpdate, SyncBarrier
+from camchain.errors import CamchainError, CausalityError, ConfigError, MalformedInputError
+from camchain.sync import BarrierConfig, BarrierStats, Snapshot, StreamUpdate, SyncBarrier
 from helpers import ts
 
 
@@ -29,6 +30,11 @@ class TestStreamUpdate:
     def test_track_time_must_match(self):
         with pytest.raises(MalformedInputError, match="time"):
             StreamUpdate(camera_id=1, frame_index=0, t=0.0, tracks=(ts(1, 1, 0.5, 0, 0),))
+
+    def test_track_frame_must_match(self):
+        track = ts(1, 1, 0.5, 0, 0)._replace(frame_index=4)
+        with pytest.raises(MalformedInputError, match="track frame 4 inside update for frame 5"):
+            StreamUpdate(camera_id=1, frame_index=5, t=0.5, tracks=(track,))
 
 
 class TestBarrierConfig:
@@ -208,3 +214,120 @@ class TestThreadSafety:
         assert b.stats.released == n_frames
         assert b.stats.peak_pending <= delivered
         assert b.pending_count == 0
+
+
+class ScanBarrier:
+    """Reference barrier: every poll scans every camera's last delivered frame.
+
+    The release rule, errors and stats of ``SyncBarrier``, without its
+    watermarks; the equivalence test below runs both side by side.
+    """
+
+    def __init__(self, cfg: BarrierConfig) -> None:
+        self.cfg = cfg
+        self._cams = sorted(cfg.camera_ids)
+        self._pending: dict[int, dict[int, StreamUpdate]] = {}
+        self._last = {c: -1 for c in cfg.camera_ids}
+        self._released_frame = -1
+        self.stats = BarrierStats()
+
+    def ingest(self, update: StreamUpdate) -> None:
+        cam, frame = update.camera_id, update.frame_index
+        if cam not in self.cfg.camera_ids:
+            raise ConfigError(f"camera {cam} is not registered with the barrier")
+        if frame < 0:
+            raise MalformedInputError(f"negative frame index {frame}")
+        if frame <= self._last[cam]:
+            raise CausalityError(
+                f"camera {cam} delivered frame {frame} after frame {self._last[cam]}"
+            )
+        self._last[cam] = frame
+        if frame <= self._released_frame:
+            self.stats.dropped_late += 1
+            return
+        self._pending.setdefault(frame, {})[cam] = update
+        self.stats.ingested += 1
+        self.stats.peak_pending = max(self.stats.peak_pending, self.pending_count)
+
+    def try_release(self):
+        if not self._pending:
+            return None
+        frame = min(self._pending)
+        last = self._last
+        if min(last.values()) < frame and (
+            self.cfg.max_lag is None or max(last.values()) - frame <= self.cfg.max_lag
+        ):
+            return None
+        updates = self._pending[frame]
+        t = updates[min(updates)].t
+        per_camera = {}
+        for cam in self._cams:
+            upd = updates.get(cam)
+            if upd is not None and upd.t != t:
+                raise MalformedInputError(
+                    f"frame {frame}: cameras disagree on time ({upd.t} vs {t})"
+                )
+            per_camera[cam] = () if upd is None else upd.tracks
+        del self._pending[frame]
+        self._released_frame = frame
+        self.stats.released += 1
+        return Snapshot(
+            frame_index=frame,
+            t=t,
+            per_camera=per_camera,
+            stalled=frozenset(c for c in self._cams if last[c] < frame),
+        )
+
+    @property
+    def pending_count(self) -> int:
+        return sum(map(len, self._pending.values()))
+
+
+def _outcome(call):
+    """A call's return value, or the type and message of what it raised."""
+    try:
+        return call()
+    except CamchainError as e:
+        return type(e), str(e)
+
+
+# One step: a poll, or a delivery (camera, frames ahead of its last delivery,
+# tracks, time off). Cameras above the barrier's count wrap around, except 6,
+# which is never registered; a step <= 0 repeats or rewinds a camera's frame,
+# and an update with its time off disagrees with the other cameras.
+_STEPS = st.lists(
+    st.one_of(
+        st.just("poll"),
+        st.tuples(
+            st.integers(1, 6),
+            st.sampled_from([1, 1, 1, 1, 2, 2, 3, 0, -1]),
+            st.integers(0, 2),
+            st.integers(0, 19).map(lambda n: n == 0),
+        ),
+    ),
+    max_size=120,
+)
+
+
+class TestWatermarksMatchAFullScan:
+    @given(st.integers(1, 5), st.sampled_from([None, 0, 2]), _STEPS)
+    def test_every_poll_agrees_with_the_scanning_reference(self, n_cams, max_lag, steps):
+        cfg = BarrierConfig(camera_ids=frozenset(range(1, n_cams + 1)), max_lag=max_lag)
+        fast, ref = SyncBarrier(cfg), ScanBarrier(cfg)
+        sent = {c: -1 for c in range(1, 7)}
+        for step in [*steps, *["poll"] * 130]:
+            if step == "poll":
+                assert _outcome(fast.try_release) == _outcome(ref.try_release)
+            else:
+                cam, ahead, n_tracks, off_time = step
+                cam = n_cams + 1 if cam == 6 else (cam - 1) % n_cams + 1
+                frame = sent[cam] + ahead
+                u = upd(cam, frame, n_tracks)
+                if off_time:
+                    u = StreamUpdate(camera_id=cam, frame_index=frame, t=u.t + 0.05)
+                got = _outcome(lambda: fast.ingest(u))
+                assert got == _outcome(lambda: ref.ingest(u))
+                if got is None:
+                    sent[cam] = frame
+            assert asdict(fast.stats) == asdict(ref.stats)
+            assert fast.pending_count == ref.pending_count
