@@ -10,7 +10,7 @@ trigger regions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -82,19 +82,22 @@ class RoadFrame:
     ``axis`` is the unit direction of nominal travel for the UPPER zone;
     lateral offsets are measured along the +90 degree rotation of it.
     ``y_split`` divides the two traffic streams and must sit strictly
-    inside the paved width.
+    inside the paved width. ``normal`` is the unit lateral direction (axis
+    rotated +90 degrees), derived once from ``axis``.
     """
 
     origin: Point2
     axis: Point2
     width: float
     y_split: float = 0.0
+    normal: Point2 = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         origin = Point2(float(self.origin[0]), float(self.origin[1]))
         axis = Point2(float(self.axis[0]), float(self.axis[1]))
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "normal", Point2(-axis.y, axis.x))
         if not all(math.isfinite(v) for v in (*origin, *axis, self.width, self.y_split)):
             raise GeometryError("road frame has non-finite component")
         if abs(math.hypot(axis.x, axis.y) - 1.0) > 1e-9:
@@ -106,11 +109,6 @@ class RoadFrame:
                 f"y_split {self.y_split} must lie strictly inside the half-width "
                 f"interval (-{self.width / 2.0}, {self.width / 2.0})"
             )
-
-    @property
-    def normal(self) -> Point2:
-        """Unit lateral direction (axis rotated +90 degrees)."""
-        return Point2(-self.axis.y, self.axis.x)
 
 
 def _dist_to_segment(p: Point2, a: Point2, b: Point2) -> float:
@@ -128,7 +126,11 @@ def _dist_to_segment(p: Point2, a: Point2, b: Point2) -> float:
 
 
 def point_in_polygon(p: Point2, poly: Polygon) -> bool:
-    """Even-odd containment test; points on the boundary count as inside."""
+    """Even-odd containment test; points on the boundary count as inside.
+
+    The crossing test runs first; only a point it puts outside pays for the
+    boundary-distance tests, which can still pull it in.
+    """
     x, y = float(p[0]), float(p[1])
     minx, miny, maxx, maxy = poly.bbox
     if x < minx - BOUNDARY_EPS or x > maxx + BOUNDARY_EPS:
@@ -137,10 +139,6 @@ def point_in_polygon(p: Point2, poly: Polygon) -> bool:
         return False
     verts = poly.vertices
     n = len(verts)
-    pt = Point2(x, y)
-    for i in range(n):
-        if _dist_to_segment(pt, verts[i], verts[(i + 1) % n]) <= BOUNDARY_EPS:
-            return True
     inside = False
     for i in range(n):
         x1, y1 = verts[i]
@@ -149,7 +147,13 @@ def point_in_polygon(p: Point2, poly: Polygon) -> bool:
             x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
             if x < x_cross:
                 inside = not inside
-    return inside
+    if inside:
+        return True
+    pt = Point2(x, y)
+    for i in range(n):
+        if _dist_to_segment(pt, verts[i], verts[(i + 1) % n]) <= BOUNDARY_EPS:
+            return True
+    return False
 
 
 def _orient(a: Point2, b: Point2, c: Point2) -> float:

@@ -29,10 +29,12 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import Container, Iterable, Iterator, Optional
+from typing import Container, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import CausalityError, ConfigError, MalformedInputError
-from .geometry import Point2, RoadFrame, Zone, get_zone, lateral_norm, point_in_polygon
+from .geometry import (
+    BOUNDARY_EPS, Point2, RoadFrame, Zone, get_zone, lateral_norm, point_in_polygon,
+)
 from .kinematics import (
     DEFAULT_SPEED_WINDOW,
     KinematicState,
@@ -48,9 +50,6 @@ from .tracks import GlobalTrajectory, TrackState, TrajRow
 # Heading projections smaller than this cannot pick a travel direction and
 # the lateral-position rule decides the zone instead.
 _PROJECTION_EPS = 1e-12
-
-# output rows carry the status as its CSV string
-_STATUS_VALUE = {None: None, **{m: m.value for m in MotionStatus}}
 
 
 class MatchStrategy(Enum):
@@ -181,6 +180,18 @@ class DirectionalBuffer:
         return expired
 
 
+class _Trigger(NamedTuple):
+    """One trigger region as seen from one of its edge's two cameras."""
+
+    edge: EdgeDef
+    # the overlap's bbox widened by BOUNDARY_EPS: outside it point_in_polygon
+    # is False, so a point it rejects skips the walk with the same outcome
+    box: tuple[float, float, float, float]
+    exit_zone: Zone  # the zone that leaves this camera across the edge
+    exit_buffer: DirectionalBuffer
+    entry_buffer: DirectionalBuffer
+
+
 @dataclass(slots=True)
 class _TrackRecord:
     """Mutable per-(camera, local id) bookkeeping inside the engine."""
@@ -211,6 +222,27 @@ class HandoverEngine:
             for z in (Zone.UPPER, Zone.LOWER):
                 self._buffers[(e.key, z)] = DirectionalBuffer(e.key, z)
         self._calibration = {n.id: n.calibration for n in topology.nodes}
+        # per camera, its edges in edges_at order: a multi-edge query keeps
+        # the first of equal keys
+        self._triggers: dict[int, tuple[_Trigger, ...]] = {}
+        eps = BOUNDARY_EPS
+        for n in topology.nodes:
+            table = []
+            for e in topology.edges_at(n.id):
+                exit_zone, entry_zone = (
+                    (Zone.UPPER, Zone.LOWER)
+                    if edge_is_exit(e, n.id, Zone.UPPER)
+                    else (Zone.LOWER, Zone.UPPER)
+                )
+                minx, miny, maxx, maxy = e.overlap.bbox
+                box = (minx - eps, miny - eps, maxx + eps, maxy + eps)
+                table.append(
+                    _Trigger(
+                        e, box, exit_zone,
+                        self._buffers[(e.key, exit_zone)], self._buffers[(e.key, entry_zone)],
+                    )
+                )
+            self._triggers[n.id] = tuple(table)
         # least recently touched first, so stale records sit at the front
         self._records: dict[tuple[int, int], _TrackRecord] = {}
         self._next_gid = 0
@@ -374,21 +406,24 @@ class HandoverEngine:
     # -- snapshot processing -------------------------------------------------
 
     def _trigger_edges(
-        self, cam: int, pos: Point2, kin: KinematicState, leaving: bool
-    ) -> Iterator[tuple[EdgeDef, Zone, float]]:
-        """(edge, zone, lateral offset) for each trigger region holding ``pos``
-        that the track is leaving across, or arriving across when not ``leaving``.
+        self, near: tuple[_Trigger, ...], pos: Point2, kin: KinematicState, leaving: bool
+    ) -> Iterator[tuple[EdgeDef, Zone, DirectionalBuffer, float]]:
+        """(edge, zone, buffer, lateral offset) for each trigger region holding
+        ``pos`` that the track is leaving across, or arriving across when not
+        ``leaving``; ``near`` holds the triggers whose box holds ``pos``.
 
         At an edge's own cameras arriving is exactly not leaving, so one
         direction test serves both.
         """
-        for edge in self.topology.edges_at(cam):
+        for trig in near:
+            edge = trig.edge
             zone = self._zone_for(pos, kin.heading_rad, kin.status, edge.frame)
-            if edge_is_exit(edge, cam, zone) != leaving:
+            if (zone is trig.exit_zone) != leaving:
                 continue
             if not point_in_polygon(pos, edge.overlap):
                 continue
-            yield edge, zone, lateral_norm(pos, edge.frame)
+            buf = trig.exit_buffer if leaving else trig.entry_buffer
+            yield edge, zone, buf, lateral_norm(pos, edge.frame)
 
     def process_snapshot(self, snap: Snapshot) -> list[HandoverEvent]:
         if self._last_frame is not None:
@@ -419,13 +454,18 @@ class HandoverEngine:
             per_camera.append((cam, tracks))
 
         # kinematics first: every visible track gets an updated estimate;
-        # a touched record moves to the back, so records stay in last_t order
+        # a touched record moves to the back, so records stay in last_t order.
+        # Only a track inside one of its camera's trigger boxes can push or
+        # match, and only across the edges whose box holds it.
         records = self._records
         k = DEFAULT_SPEED_WINDOW
         ordered: list[tuple[int, TrackState, _TrackRecord, Point2]] = []
+        leavers: list[tuple[int, TrackState, _TrackRecord, Point2, tuple[_Trigger, ...]]] = []
+        births: list[tuple[int, TrackState, _TrackRecord, Point2, tuple[_Trigger, ...]]] = []
         live: dict[int, set[int]] = {}
         for cam, tracks in per_camera:
             live_here = live[cam] = set()
+            triggers = self._triggers[cam]
             for st in tracks:
                 key = (cam, st.local_id)
                 rec = records.pop(key, None)
@@ -440,7 +480,8 @@ class HandoverEngine:
                 if len(rec.px_hist) > k:
                     speed = estimate_speed(rec.px_hist, self._calibration[cam], k)
                     status = motion_status(speed)
-                pos = Point2(st.x_m, st.y_m)
+                x, y = st.x_m, st.y_m
+                pos = Point2(x, y)
                 heading = rec.heading
                 if rec.last_pos is not None:
                     heading = estimate_heading(rec.last_pos, pos, heading)
@@ -449,18 +490,25 @@ class HandoverEngine:
                 rec.last_pos = pos
                 rec.last_t = snap.t
                 rec.last_frame = snap.frame_index
-                if rec.global_id is not None:
-                    live_here.add(rec.global_id)
                 ordered.append((cam, st, rec, pos))
+                near: tuple[_Trigger, ...] = ()
+                for trig in triggers:
+                    lo_x, lo_y, hi_x, hi_y = trig.box
+                    if not (x < lo_x or x > hi_x or y < lo_y or y > hi_y):
+                        near += (trig,)
+                if rec.global_id is None:
+                    births.append((cam, st, rec, pos, near))
+                else:
+                    live_here.add(rec.global_id)
+                    if near:
+                        leavers.append((cam, st, rec, pos, near))
 
         # identified tracks inside a trigger region park their id downstream
         out: list[HandoverEvent] = []
-        for cam, st, rec, pos in ordered:
-            if rec.global_id is None:
-                continue
+        for cam, st, rec, pos, near in leavers:
             kin = rec.kin
-            for edge, zone, y_rel in self._trigger_edges(cam, pos, kin, leaving=True):
-                self._buffers[(edge.key, zone)].push(
+            for edge, zone, buf, y_rel in self._trigger_edges(near, pos, kin, leaving=True):
+                buf.push(
                     BufferEntry(
                         global_id=rec.global_id,
                         camera_id=cam,
@@ -487,25 +535,16 @@ class HandoverEngine:
                 )
 
         # unidentified tracks inherit a parked id or mint a fresh one
-        for cam, st, rec, pos in ordered:
-            if rec.global_id is not None:
-                continue
+        for cam, st, rec, pos, near in births:
             kin = rec.kin
             best = None
-            for edge, zone, y_rel in self._trigger_edges(cam, pos, kin, leaving=False):
-                found = self._scan(
-                    self._buffers[(edge.key, zone)],
-                    snap.t,
-                    y_rel,
-                    pos,
-                    kin.heading_rad,
-                    live[cam],
-                )
+            for edge, zone, buf, y_rel in self._trigger_edges(near, pos, kin, leaving=False):
+                found = self._scan(buf, snap.t, y_rel, pos, kin.heading_rad, live[cam])
                 if found is not None and (best is None or found[0] < best[0][0]):
-                    best = (found, edge, zone, y_rel)
+                    best = (found, edge, zone, buf, y_rel)
             if best is not None:
-                (_, entry, age, residual), edge, zone, y_rel = best
-                self._buffers[(edge.key, zone)].remove(entry)
+                (_, entry, age, residual), edge, zone, buf, y_rel = best
+                buf.remove(entry)
                 rec.global_id = entry.global_id
                 out.append(
                     HandoverEvent(
@@ -547,10 +586,13 @@ class HandoverEngine:
                 traj = GlobalTrajectory(global_id=gid)
                 self.trajectories[gid] = traj
             kin = rec.kin
+            status = kin.status
+            # the row carries the status as its CSV string; _value_ is read
+            # directly because hashing or .value goes through Python-level enum code
             traj.states.append(
                 TrajRow(
                     gid, snap.frame_index, st.camera_id, st.local_id, st.t, pos.x, pos.y,
-                    kin.speed_kmh, kin.heading_rad, _STATUS_VALUE[kin.status],
+                    kin.speed_kmh, kin.heading_rad, None if status is None else status._value_,
                 )
             )
 

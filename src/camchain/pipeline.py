@@ -214,6 +214,12 @@ def stitch_dir(
     rate, n_cams = meta["frame_rate"], len(topology.nodes)
     if meta["n_cameras"] != n_cams:
         raise ConfigError(f"meta.n_cameras: {meta['n_cameras']}, but the topology has {n_cams}")
+    # the simulator rounds duration_s * frame_rate to whole frames
+    if abs(meta["duration_s"] * rate - meta["frame_count"]) > 0.5:
+        raise ConfigError(
+            f"meta.duration_s: {meta['duration_s']} s at {rate} fps is not "
+            f"{meta['frame_count']} frames"
+        )
     for i, node in enumerate(topology.nodes):
         # every row's t is frame_index / frame_rate, so no other frame period fits
         if abs(node.calibration.frame_dt * rate - 1.0) > 1e-9:

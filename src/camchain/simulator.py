@@ -424,6 +424,12 @@ class World:
         self.topology = build_topology(cfg)
         self.frame_count = int(round(cfg.duration_s * cfg.frame_rate))
         self.dt = 1.0 / cfg.frame_rate
+        # lane centres by (direction, lane); overtaking's lane 1 needs lanes_per_dir >= 2
+        self._lane_y = {
+            (d, lane): cfg.lane_center(d, lane)
+            for d in (1, -1)
+            for lane in range(cfg.lanes_per_dir)
+        }
         self.alive: list[_Vehicle] = []
         self._pending: list[_Plan] = self._build_plan()
         self._frame = -1
@@ -560,8 +566,9 @@ class World:
                 leader_old_x, leader_new_x = v.x, x_new
                 v.x, v.v = x_new, v_new
         # lateral slew toward the claimed lane center
+        lane_y = self._lane_y
         for v in self.alive:
-            target = self.cfg.lane_center(v.direction, v.lane)
+            target = lane_y[v.direction, v.lane]
             step = LANE_CHANGE_RATE * dt
             if abs(target - v.y) <= step:
                 v.y = target
@@ -587,7 +594,7 @@ class World:
                     v.lane = 0
                     v.pass_state = "return"
             elif v.pass_state == "return":
-                if v.y == self.cfg.lane_center(v.direction, 0):
+                if v.y == self._lane_y[v.direction, 0]:
                     v.pass_state = "done"
 
     def _despawn(self, t: float) -> None:
@@ -634,7 +641,7 @@ class World:
                 direction=p.direction,
                 lane=p.lane,
                 x=x,
-                y=cfg.lane_center(p.direction, p.lane),
+                y=self._lane_y[p.direction, p.lane],
                 v=p.speed,
                 desired=p.speed,
                 kind=p.kind,

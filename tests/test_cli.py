@@ -216,6 +216,18 @@ class TestExitCodes:
         assert run_cli("stitch", "--in-dir", str(d)) == 4
         assert f"meta.{key}" in capsys.readouterr().err
 
+    def test_duration_off_the_frame_count_is_4(self, tmp_path, fixtures_dir, capsys):
+        d = self.simulate_small(tmp_path, fixtures_dir)
+        meta = load_json(d / pl.META)
+        frame_s = 1.0 / meta["frame_rate"]
+        meta["duration_s"] += 0.4 * frame_s  # within half a frame: still valid
+        (d / pl.META).write_text(json.dumps(meta))
+        assert run_cli("stitch", "--in-dir", str(d)) == 0
+        meta["duration_s"] += 1.6 * frame_s  # two frames off in all
+        (d / pl.META).write_text(json.dumps(meta))
+        assert run_cli("stitch", "--in-dir", str(d)) == 4
+        assert "meta.duration_s" in capsys.readouterr().err
+
     def test_frame_dt_off_the_frame_rate_is_4(self, tmp_path, fixtures_dir, capsys):
         d = self.simulate_small(tmp_path, fixtures_dir)
         topo = load_json(d / pl.TOPOLOGY)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from camchain.errors import GeometryError
 from camchain.geometry import (
+    BOUNDARY_EPS,
     Point2,
     Polygon,
     RoadFrame,
@@ -15,6 +17,7 @@ from camchain.geometry import (
     lateral_norm,
     point_in_polygon,
     polygons_intersect,
+    _dist_to_segment,
     to_road_frame,
 )
 from helpers import min_edge_dist, pip_oracle, star_polygon
@@ -92,6 +95,66 @@ class TestPointInPolygon:
         assert checked > 1500
 
 
+def _pip_boundary_first(p, poly):
+    """The earlier point_in_polygon: boundary distances first, then parity."""
+    x, y = float(p[0]), float(p[1])
+    minx, miny, maxx, maxy = poly.bbox
+    if x < minx - BOUNDARY_EPS or x > maxx + BOUNDARY_EPS:
+        return False
+    if y < miny - BOUNDARY_EPS or y > maxy + BOUNDARY_EPS:
+        return False
+    verts = poly.vertices
+    n = len(verts)
+    pt = Point2(x, y)
+    for i in range(n):
+        if _dist_to_segment(pt, verts[i], verts[(i + 1) % n]) <= BOUNDARY_EPS:
+            return True
+    inside = False
+    for i in range(n):
+        x1, y1 = verts[i]
+        x2, y2 = verts[(i + 1) % n]
+        if (y1 > y) != (y2 > y):
+            x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+            if x < x_cross:
+                inside = not inside
+    return inside
+
+
+@st.composite
+def _probes(draw):
+    """A polygon and a point on, next to, or anywhere around it."""
+    poly = draw(
+        st.one_of(
+            st.just(L_SHAPE),
+            st.integers(0, 2**32 - 1).map(lambda seed: star_polygon(random.Random(seed))),
+        )
+    )
+    verts = poly.vertices
+    i = draw(st.integers(0, len(verts) - 1))
+    (ax, ay), (bx, by) = verts[i], verts[(i + 1) % len(verts)]
+    kind = draw(st.sampled_from(["vertex", "edge", "offset", "random"]))
+    if kind == "vertex":
+        return poly, Point2(ax, ay)
+    if kind == "random":
+        minx, miny, maxx, maxy = poly.bbox
+        x = draw(st.floats(minx - 1.0, maxx + 1.0))
+        y = draw(st.floats(miny - 1.0, maxy + 1.0))
+        return poly, Point2(x, y)
+    u = draw(st.floats(0.0, 1.0))
+    x, y = ax + u * (bx - ax), ay + u * (by - ay)
+    if kind == "offset":
+        d = draw(st.sampled_from([-2e-9, -1e-9, -0.5e-9, 0.5e-9, 1e-9, 2e-9]))
+        length = math.hypot(bx - ax, by - ay)
+        x, y = x - d * (by - ay) / length, y + d * (bx - ax) / length
+    return poly, Point2(x, y)
+
+
+@given(_probes())
+def test_point_in_polygon_equals_the_boundary_first_test(probe):
+    poly, p = probe
+    assert point_in_polygon(p, poly) == _pip_boundary_first(p, poly)
+
+
 class TestPolygonValidation:
     def test_too_few_vertices(self):
         with pytest.raises(GeometryError):
@@ -163,6 +226,12 @@ class TestRoadFrame:
     def test_normal_is_left_of_axis(self):
         frame = RoadFrame(origin=Point2(0, 0), axis=Point2(1.0, 0.0), width=8.0)
         assert frame.normal == Point2(-0.0, 1.0) or frame.normal == Point2(0.0, 1.0)
+
+    def test_normal_follows_a_replaced_axis(self):
+        frame = RoadFrame(origin=Point2(0, 0), axis=Point2(1.0, 0.0), width=8.0)
+        turned = dataclasses.replace(frame, axis=Point2(0.0, 1.0))
+        assert turned.normal == Point2(-1.0, 0.0)
+        assert turned != frame
 
     def test_axis_must_be_unit(self):
         with pytest.raises(GeometryError, match="unit"):

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from camchain.errors import CausalityError, ConfigError, MalformedInputError
-from camchain.geometry import Point2, Zone
+from camchain.geometry import Point2, Polygon, Zone
 from camchain.handover import (
     BufferEntry,
     EventKind,
@@ -11,8 +11,12 @@ from camchain.handover import (
     MatcherConfig,
     MatchStrategy,
 )
+from camchain.kinematics import Calibration
 from camchain.sync import Snapshot
-from helpers import chain_graph, drive, gapped_graph, snap, ts, two_cam_graph
+from camchain.topology import CameraNode, EdgeDef, TopologyGraph
+from helpers import (
+    FPS, LAM, chain_graph, drive, gapped_graph, rect, road, snap, ts, two_cam_graph,
+)
 
 
 def make_engine(strategy=MatchStrategy.LATERAL_AWARE, **kw):
@@ -459,3 +463,41 @@ class TestEndToEnd:
         for e in eng.events:
             tally[e.kind.value] = tally.get(e.kind.value, 0) + 1
         assert dict(eng.counts) == tally
+
+
+class TestNonRectangularTrigger:
+    """The trigger region is the lower-left half of the shared footprint
+    [10, 20] x [-4.5, 4.5], so half of its bbox lies outside it."""
+
+    def run(self):
+        cal = Calibration(m_per_px=LAM, frame_dt=1.0 / FPS)
+        nodes = tuple(
+            CameraNode(id=i, fov=rect(x0, x1), calibration=cal, frame=road())
+            for i, (x0, x1) in ((1, (0.0, 20.0)), (2, (10.0, 30.0)))
+        )
+        tri = Polygon((Point2(10.0, -4.5), Point2(20.0, -4.5), Point2(10.0, 4.5)))
+        g = TopologyGraph(nodes=nodes, edges=(EdgeDef(1, 2, tri, road()),))
+        eng = HandoverEngine(g)
+        # eastbound on camera 1: track 1 inside the triangle, track 2 in its bbox only
+        for f in range(5):
+            eng.process_snapshot(snap(f, {1: [(1, 11.0 + f, -1.5), (2, 14.0 + f, 4.0)]}))
+        return eng
+
+    def test_a_track_inside_the_triangle_pushes(self):
+        pushes = [e for e in self.run().events if e.kind is EventKind.PUSHED]
+        assert [(e.local_id, e.global_id) for e in pushes] == [(1, 1)] * 4
+
+    def test_a_track_in_the_bbox_only_pushes_nothing(self):
+        eng = self.run()
+        assert [e.global_id for e in eng.events if e.kind is EventKind.NEW_IDENTITY] == [1, 2]
+        assert all(e.local_id != 2 for e in eng.events if e.kind is EventKind.PUSHED)
+        assert [e.global_id for e in eng.buffer((1, 2), Zone.UPPER)] == [1]
+
+    def test_a_birth_in_the_bbox_only_mints(self):
+        eng = self.run()
+        # in gid 1's zone and 0.0625 from its lane, but outside the triangle
+        out = eng.process_snapshot(snap(5, {2: [(1, 18.0, -1.0)]}))
+        assert [(e.kind, e.global_id) for e in out] == [(EventKind.NEW_IDENTITY, 3)]
+        # the same birth inside the triangle takes the parked id
+        out = eng.process_snapshot(snap(6, {2: [(1, 18.0, -1.0), (2, 14.0, -1.0)]}))
+        assert [(e.kind, e.local_id, e.global_id) for e in out] == [(EventKind.MATCHED, 2, 1)]
