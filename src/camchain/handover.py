@@ -90,9 +90,12 @@ class MatcherConfig:
             raise ConfigError(f"gamma_dir must lie in [-1, 1], got {self.gamma_dir}")
 
 
-@dataclass(frozen=True, slots=True)
-class BufferEntry:
-    """One parked identity awaiting pickup on the far side of an edge."""
+class BufferEntry(NamedTuple):
+    """One parked identity awaiting pickup on the far side of an edge.
+
+    The engine builds it and ``HandoverEvent`` positionally: reordering
+    fields of either changes what it stores.
+    """
 
     global_id: int
     camera_id: int
@@ -111,8 +114,7 @@ class EventKind(Enum):
     EXPIRED = "expired"
 
 
-@dataclass(frozen=True, slots=True)
-class HandoverEvent:
+class HandoverEvent(NamedTuple):
     kind: EventKind
     frame_index: int
     t: float
@@ -200,7 +202,7 @@ class _TrackRecord:
     global_id: Optional[int] = None
     last_t: float = 0.0
     last_frame: Optional[int] = None
-    last_pos: Optional[Point2] = None
+    last_pos: Optional[tuple[float, float]] = None  # (x_m, y_m)
     heading: Optional[float] = None
     kin: Optional[KinematicState] = None
 
@@ -258,10 +260,6 @@ class HandoverEngine:
     def _mint_gid(self) -> int:
         self._next_gid += 1
         return self._next_gid
-
-    def _take_seq(self) -> int:
-        self._next_seq += 1
-        return self._next_seq
 
     @property
     def gids_minted(self) -> int:
@@ -380,16 +378,8 @@ class HandoverEngine:
             frame_index = self._last_frame if self._last_frame is not None else 0
         out = [
             HandoverEvent(
-                kind=EventKind.EXPIRED,
-                frame_index=frame_index,
-                t=now,
-                camera_id=entry.camera_id,
-                local_id=entry.local_id,
-                global_id=entry.global_id,
-                edge=edge_key,
-                zone=zone,
-                y_rel=entry.y_rel,
-                age=now - entry.t_exit,
+                EventKind.EXPIRED, frame_index, now, entry.camera_id, entry.local_id,
+                entry.global_id, edge_key, zone, entry.y_rel, now - entry.t_exit,
             )
             for (edge_key, zone), buf in self._buffers.items()
             if buf._entries
@@ -426,42 +416,55 @@ class HandoverEngine:
             yield edge, zone, buf, lateral_norm(pos, edge.frame)
 
     def process_snapshot(self, snap: Snapshot) -> list[HandoverEvent]:
+        frame_index, t = snap.frame_index, snap.t
         if self._last_frame is not None:
-            if snap.frame_index <= self._last_frame:
+            if frame_index <= self._last_frame:
                 raise CausalityError(
-                    f"snapshot frame {snap.frame_index} is not after {self._last_frame}"
+                    f"snapshot frame {frame_index} is not after {self._last_frame}"
                 )
             # buffers and record retirement rely on time never going back
-            if snap.t < self._last_t:
+            if t < self._last_t:
                 raise CausalityError(
-                    f"snapshot frame {snap.frame_index} at t={snap.t} is before "
-                    f"t={self._last_t}"
+                    f"snapshot frame {frame_index} at t={t} is before t={self._last_t}"
                 )
-        self._last_frame = snap.frame_index
-        self._last_t = snap.t
-        # validate before touching any record; sorting puts a repeat next to its twin
+        # validate before touching any state; sorting puts a repeat next to its twin
         per_camera: list[tuple[int, list[TrackState]]] = []
         for cam, tracks in sorted(snap.per_camera.items()):
+            if cam not in self._triggers:
+                raise ConfigError(
+                    f"snapshot frame {frame_index} names camera {cam}, "
+                    "which the topology lacks"
+                )
             if not tracks:  # an idle camera has nothing to validate or update
                 continue
+            for st in tracks:
+                if st.camera_id != cam:
+                    raise MalformedInputError(
+                        f"camera {cam} reports a track of camera {st.camera_id} "
+                        f"in frame {frame_index}"
+                    )
             tracks = sorted(tracks, key=attrgetter("local_id"))
             for a, b in zip(tracks, tracks[1:]):
                 if a.local_id == b.local_id:
                     raise MalformedInputError(
                         f"camera {cam} reports local id {a.local_id} twice "
-                        f"in frame {snap.frame_index}"
+                        f"in frame {frame_index}"
                     )
             per_camera.append((cam, tracks))
+        self._last_frame, self._last_t = frame_index, t
 
         # kinematics first: every visible track gets an updated estimate;
         # a touched record moves to the back, so records stay in last_t order.
         # Only a track inside one of its camera's trigger boxes can push or
-        # match, and only across the edges whose box holds it.
+        # match, only across the edges whose box holds it, and only it needs
+        # its position as a Point2.
         records = self._records
         k = DEFAULT_SPEED_WINDOW
-        ordered: list[tuple[int, TrackState, _TrackRecord, Point2]] = []
+        ordered: list[tuple[TrackState, _TrackRecord]] = []
         leavers: list[tuple[int, TrackState, _TrackRecord, Point2, tuple[_Trigger, ...]]] = []
-        births: list[tuple[int, TrackState, _TrackRecord, Point2, tuple[_Trigger, ...]]] = []
+        births: list[
+            tuple[int, TrackState, _TrackRecord, Optional[Point2], tuple[_Trigger, ...]]
+        ] = []
         live: dict[int, set[int]] = {}
         for cam, tracks in per_camera:
             live_here = live[cam] = set()
@@ -471,7 +474,7 @@ class HandoverEngine:
                 rec = records.pop(key, None)
                 if rec is None:
                     rec = _TrackRecord(px_hist=deque(maxlen=k + 1))
-                elif snap.frame_index != rec.last_frame + 1:
+                elif frame_index != rec.last_frame + 1:
                     rec.px_hist.clear()  # a gap breaks the uniform-step speed window
                     rec.last_pos = None
                 records[key] = rec
@@ -480,22 +483,22 @@ class HandoverEngine:
                 if len(rec.px_hist) > k:
                     speed = estimate_speed(rec.px_hist, self._calibration[cam], k)
                     status = motion_status(speed)
-                x, y = st.x_m, st.y_m
-                pos = Point2(x, y)
+                x, y = xy = st.x_m, st.y_m
                 heading = rec.heading
                 if rec.last_pos is not None:
-                    heading = estimate_heading(rec.last_pos, pos, heading)
+                    heading = estimate_heading(rec.last_pos, xy, heading)
                 rec.kin = KinematicState(speed, heading, status)
                 rec.heading = heading
-                rec.last_pos = pos
-                rec.last_t = snap.t
-                rec.last_frame = snap.frame_index
-                ordered.append((cam, st, rec, pos))
+                rec.last_pos = xy
+                rec.last_t = t
+                rec.last_frame = frame_index
+                ordered.append((st, rec))
                 near: tuple[_Trigger, ...] = ()
                 for trig in triggers:
                     lo_x, lo_y, hi_x, hi_y = trig.box
                     if not (x < lo_x or x > hi_x or y < lo_y or y > hi_y):
                         near += (trig,)
+                pos = Point2(x, y) if near else None
                 if rec.global_id is None:
                     births.append((cam, st, rec, pos, near))
                 else:
@@ -507,30 +510,13 @@ class HandoverEngine:
         out: list[HandoverEvent] = []
         for cam, st, rec, pos, near in leavers:
             kin = rec.kin
+            gid, lid, heading = rec.global_id, st.local_id, kin.heading_rad
             for edge, zone, buf, y_rel in self._trigger_edges(near, pos, kin, leaving=True):
-                buf.push(
-                    BufferEntry(
-                        global_id=rec.global_id,
-                        camera_id=cam,
-                        local_id=st.local_id,
-                        t_exit=snap.t,
-                        y_rel=y_rel,
-                        seq=self._take_seq(),
-                        heading=kin.heading_rad,
-                        pos=pos,
-                    )
-                )
+                self._next_seq += 1
+                buf.push(BufferEntry(gid, cam, lid, t, y_rel, self._next_seq, heading, pos))
                 out.append(
                     HandoverEvent(
-                        kind=EventKind.PUSHED,
-                        frame_index=snap.frame_index,
-                        t=snap.t,
-                        camera_id=cam,
-                        local_id=st.local_id,
-                        global_id=rec.global_id,
-                        edge=edge.key,
-                        zone=zone,
-                        y_rel=y_rel,
+                        EventKind.PUSHED, frame_index, t, cam, lid, gid, edge.key, zone, y_rel
                     )
                 )
 
@@ -539,7 +525,7 @@ class HandoverEngine:
             kin = rec.kin
             best = None
             for edge, zone, buf, y_rel in self._trigger_edges(near, pos, kin, leaving=False):
-                found = self._scan(buf, snap.t, y_rel, pos, kin.heading_rad, live[cam])
+                found = self._scan(buf, t, y_rel, pos, kin.heading_rad, live[cam])
                 if found is not None and (best is None or found[0] < best[0][0]):
                     best = (found, edge, zone, buf, y_rel)
             if best is not None:
@@ -548,51 +534,36 @@ class HandoverEngine:
                 rec.global_id = entry.global_id
                 out.append(
                     HandoverEvent(
-                        kind=EventKind.MATCHED,
-                        frame_index=snap.frame_index,
-                        t=snap.t,
-                        camera_id=cam,
-                        local_id=st.local_id,
-                        global_id=entry.global_id,
-                        edge=edge.key,
-                        zone=zone,
-                        y_rel=y_rel,
-                        age=age,
-                        residual=residual,
+                        EventKind.MATCHED, frame_index, t, cam, st.local_id, entry.global_id,
+                        edge.key, zone, y_rel, age, residual,
                     )
                 )
             else:
                 rec.global_id = self._mint_gid()
                 out.append(
                     HandoverEvent(
-                        kind=EventKind.NEW_IDENTITY,
-                        frame_index=snap.frame_index,
-                        t=snap.t,
-                        camera_id=cam,
-                        local_id=st.local_id,
-                        global_id=rec.global_id,
+                        EventKind.NEW_IDENTITY, frame_index, t, cam, st.local_id, rec.global_id
                     )
                 )
             live[cam].add(rec.global_id)
 
         self._log(out)
-        out += self.expire(snap.t, snap.frame_index)
+        out += self.expire(t, frame_index)
 
         # one output row per observation
-        for cam, st, rec, pos in ordered:
+        for st, rec in ordered:
             gid = rec.global_id
             traj = self.trajectories.get(gid)
             if traj is None:
                 traj = GlobalTrajectory(global_id=gid)
                 self.trajectories[gid] = traj
-            kin = rec.kin
-            status = kin.status
+            speed, heading, status = rec.kin
             # the row carries the status as its CSV string; _value_ is read
             # directly because hashing or .value goes through Python-level enum code
             traj.states.append(
                 TrajRow(
-                    gid, snap.frame_index, st.camera_id, st.local_id, st.t, pos.x, pos.y,
-                    kin.speed_kmh, kin.heading_rad, None if status is None else status._value_,
+                    gid, frame_index, st.camera_id, st.local_id, st.t, st.x_m, st.y_m,
+                    speed, heading, None if status is None else status._value_,
                 )
             )
 
@@ -600,7 +571,7 @@ class HandoverEngine:
         horizon = 2.0 * self.matcher.eps_time
         while records:
             key = next(iter(records))
-            if snap.t - records[key].last_t <= horizon:
+            if t - records[key].last_t <= horizon:
                 break
             del records[key]
         return out

@@ -12,10 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ConfigError, GeometryError, InsufficientHistoryError, MalformedInputError
-from .geometry import Point2
 
 DEFAULT_SPEED_WINDOW = 10        # frames between the two chord-speed samples
 DEFAULT_STOP_SPEED_KMH = 3.0
@@ -43,26 +42,40 @@ class Calibration:
             raise GeometryError(f"frame_dt must be positive, got {self.frame_dt}")
 
 
-@dataclass(frozen=True, slots=True)
-class KinematicState:
-    """Estimated kinematics for one track at one instant.
-
-    ``speed_kmh`` and ``heading_rad`` are None while the track is too young
-    for the respective estimator; unknown speed is reported as unknown,
-    never as zero. ``status`` is present exactly when speed is.
-    """
-
+class _KinematicFields(NamedTuple):
     speed_kmh: Optional[float]
     heading_rad: Optional[float]
     status: Optional[MotionStatus]
 
-    def __post_init__(self) -> None:
-        if self.speed_kmh is not None and self.speed_kmh < 0.0:
-            raise MalformedInputError(f"speed_kmh must be >= 0, got {self.speed_kmh}")
-        if (self.status is None) != (self.speed_kmh is None):
+
+class KinematicState(_KinematicFields):
+    """Estimated kinematics for one track at one instant.
+
+    ``speed_kmh`` and ``heading_rad`` are None while the track is too young
+    for the respective estimator; unknown speed is reported as unknown,
+    never as zero. ``status`` is present exactly when speed is. Every way
+    of building one, ``_make`` and ``_replace`` included, runs the checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        speed_kmh: Optional[float],
+        heading_rad: Optional[float],
+        status: Optional[MotionStatus],
+    ) -> KinematicState:
+        if speed_kmh is not None and speed_kmh < 0.0:
+            raise MalformedInputError(f"speed_kmh must be >= 0, got {speed_kmh}")
+        if (status is None) != (speed_kmh is None):
             raise MalformedInputError("status must be present exactly when speed is")
-        if self.heading_rad is not None and not (-math.pi < self.heading_rad <= math.pi):
-            raise MalformedInputError(f"heading {self.heading_rad} outside (-pi, pi]")
+        if heading_rad is not None and not (-math.pi < heading_rad <= math.pi):
+            raise MalformedInputError(f"heading {heading_rad} outside (-pi, pi]")
+        return tuple.__new__(cls, (speed_kmh, heading_rad, status))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> KinematicState:
+        return cls(*iterable)
 
 
 def wrap_angle(a: float) -> float:
@@ -97,8 +110,8 @@ def estimate_speed(
 
 
 def estimate_heading(
-    prev: Point2,
-    curr: Point2,
+    prev: tuple[float, float],
+    curr: tuple[float, float],
     prev_heading: Optional[float],
     stop_threshold: float = DEFAULT_STOP_THRESHOLD_M,
 ) -> Optional[float]:

@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import pytest
 
-from camchain import NoiseConfig, run_to_dir
+from camchain import MatcherConfig, NoiseConfig, run_to_dir
 from camchain.formats import load_json, scenario_from_dict
 from camchain.pipeline import EVENTS, OBSERVATIONS, REPORT, TRAJECTORIES, TRUTH_OBS
 
@@ -35,6 +35,15 @@ GOLDEN = {
         TRAJECTORIES: "3bb3005e52dd1003939350504f6947b8678df4f9357785a790f060491210d51b",
         EVENTS: "cd8191ebc2db9316eaa0617c7f4f400bec5aff1b34f556f2e08014895bcb2d47",
         REPORT: "2d9b3fbbcce2ad6f714bc33a63210cf78dd9b4ee59997df8fd48e6fb33309f10",
+    },
+    # the same run with the position gate on: it changes decisions (more
+    # expiries, fewer switches), so a gate reading the wrong field shows here
+    "freeflow-noisy-eps-dist": {
+        OBSERVATIONS: "9600058487043c8b8819e9547f36aea9b2b378be2ba3c995fcf038974a66dcba",
+        TRUTH_OBS: "bb058c4f316a423ef0edf6b7e4f9a52c9b1e088314f3a74ff8e885112bcb2e43",
+        TRAJECTORIES: "8b7dd6fb371a770bb35281c389c0b714f868d5beb97cb9b7bd1dd06b5c2d90e6",
+        EVENTS: "a8b858942a3f62157ef3529bfe1465d13fe7d69930072b3084e575c15c2bcb4e",
+        REPORT: "6c8c6ff982021a462e1b06565a616b1b91f4149bcd8ecc4649bb807eeaf365b2",
     },
     "freeflow-drift": {
         OBSERVATIONS: "eb1ec26fba184d6d49ba413fb72284831cdeb5b9ae33c925050380104aceef88",
@@ -70,7 +79,7 @@ GOLDEN = {
 def _config(fixtures_dir, name):
     fixture = "freeflow" if name.startswith("freeflow") else name
     cfg = scenario_from_dict(load_json(fixtures_dir / f"scenario_{fixture}.json"))
-    if name == "freeflow-noisy":
+    if name.startswith("freeflow-noisy"):
         cfg = replace(
             cfg,
             noise=NoiseConfig(dropout_rate=0.01, pos_sigma_px=2.0, sync_jitter_frames=5),
@@ -80,9 +89,12 @@ def _config(fixtures_dir, name):
     return cfg
 
 
+MATCHERS = {"freeflow-noisy-eps-dist": MatcherConfig(eps_dist=2.0)}
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_run_to_dir_outputs_are_pinned(name, fixtures_dir, tmp_path):
-    run_to_dir(_config(fixtures_dir, name), 7, tmp_path)
+    run_to_dir(_config(fixtures_dir, name), 7, tmp_path, MATCHERS.get(name))
     digests = {
         f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in GOLDEN[name]
     }

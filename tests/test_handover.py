@@ -192,6 +192,24 @@ class TestSnapshotValidation:
         with pytest.raises(MalformedInputError, match="twice"):
             eng.process_snapshot(bad)
 
+    def test_unknown_camera_is_a_config_error(self):
+        eng = make_engine()
+        with pytest.raises(ConfigError, match="frame 3 names camera 7"):
+            eng.process_snapshot(snap(3, {1: [(1, 15.0, -2.0)], 7: [(1, 15.0, -2.0)]}))
+        assert eng.gids_minted == 0 and eng.trajectories == {}
+        eng.process_snapshot(snap(3, {1: [(1, 15.0, -2.0)]}))  # the frame is still free
+
+    def test_track_of_another_camera_rejected(self):
+        eng = make_engine()
+        # filed under camera 1, but the row says camera 2
+        tracks = (ts(1, 1, 0.0, 5.0, -2.0), ts(2, 2, 0.0, 15.0, -2.0))
+        bad = Snapshot(frame_index=0, t=0.0, per_camera={1: tracks})
+        match = "camera 1 reports a track of camera 2 in frame 0"
+        with pytest.raises(MalformedInputError, match=match):
+            eng.process_snapshot(bad)
+        assert eng.gids_minted == 0 and eng.trajectories == {}
+        eng.process_snapshot(snap(0, {1: [(1, 5.0, -2.0)]}))  # the frame is still free
+
     def test_frames_must_advance(self):
         eng = make_engine()
         eng.process_snapshot(snap(1, {1: [(1, 5.0, -2.0)]}))

@@ -11,7 +11,8 @@ from camchain.errors import (
     InsufficientHistoryError,
     MalformedInputError,
 )
-from camchain.geometry import Point2
+from camchain.geometry import Point2, Zone
+from camchain.handover import BufferEntry, EventKind, HandoverEvent
 from camchain.kinematics import (
     Calibration,
     KinematicState,
@@ -181,12 +182,35 @@ class TestValidation:
         ids=["negative-speed", "speed-without-status", "status-without-speed", "heading"],
     )
     def test_kinematic_state_errors_are_typed(self, args):
-        with pytest.raises(MalformedInputError) as ei:
-            KinematicState(*args)
-        assert isinstance(ei.value, CamchainError)
+        good = KinematicState(12.0, 0.5, MotionStatus.MOVING)
+        for build in (
+            lambda: KinematicState(*args),
+            lambda: KinematicState._make(args),
+            lambda: good._replace(**dict(zip(KinematicState._fields, args))),
+        ):
+            with pytest.raises(MalformedInputError) as ei:
+                build()
+            assert isinstance(ei.value, CamchainError)
 
     def test_speed_window_error_is_typed(self):
         cal = Calibration(m_per_px=0.05, frame_dt=0.1)
         with pytest.raises(ConfigError) as ei:
             estimate_speed(straight_px_track(5, 1.0), cal, k=0)
         assert isinstance(ei.value, CamchainError)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        BufferEntry(7, 1, 3, 2.0, 0.5, 1, 0.1, Point2(15.0, -2.0)),
+        HandoverEvent(EventKind.PUSHED, 20, 2.0, 1, 3, 7, (1, 2), Zone.UPPER, 0.5),
+        KinematicState(12.0, 0.5, MotionStatus.MOVING),
+    ],
+    ids=lambda r: type(r).__name__,
+)
+def test_records_are_immutable(record):
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    with pytest.raises(AttributeError):
+        record.note = "extra"
