@@ -8,11 +8,10 @@ global id it assigned to it, and the metrics compare the two sides.
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .simulator import TrueHandover, TruthObs
 from .tracks import GlobalTrajectory
@@ -105,28 +104,126 @@ def compute_idf1(
     """Identity F1 under the best one-to-one truth-to-output id pairing.
 
     Observation-level: each emitted observation is one unit of truth and,
-    when the engine labeled it, one unit of prediction. The pairing that
-    maximizes agreement is found by solving the assignment problem on the
-    overlap-count matrix.
+    when the engine labeled it, one unit of prediction. Overlaps are counted
+    sparsely, one entry per (vehicle, global id) pair that shares at least
+    one observation, so ``idtp`` is the weight of the heaviest one-to-one
+    matching of that bipartite graph. It is found exactly, one connected
+    component at a time: a component with a single vehicle or a single id
+    scores its heaviest edge, any other is solved by successive shortest
+    augmenting paths. The optimum's value is unique even where the pairing
+    is not, so the score does not depend on how ties are broken.
     """
-    t_ids = sorted({o.vehicle_id for o in truth_obs})
-    # one label per observation, not an (observation, label) pair: a pair
-    # per observation would be as many new objects for the cyclic GC to track
-    labels = [gids.get((o.frame_index, o.camera_id, o.local_id)) for o in truth_obs]
-    p_ids = sorted({g for g in labels if g is not None})
     n_truth = len(truth_obs)
+    # one label per observation; Counter keeps only the distinct pairs
+    labels = [gids.get((o.frame_index, o.camera_id, o.local_id)) for o in truth_obs]
     n_pred = n_truth - labels.count(None)
-    if not t_ids or not p_ids:
-        return IdScore(idtp=0, idfp=n_pred, idfn=n_truth)
-    t_pos = {v: i for i, v in enumerate(t_ids)}
-    p_pos = {g: j for j, g in enumerate(p_ids)}
-    overlap = np.zeros((len(t_ids), len(p_ids)), dtype=np.int64)
-    for o, g in zip(truth_obs, labels):
-        if g is not None:
-            overlap[t_pos[o.vehicle_id], p_pos[g]] += 1
-    rows, cols = linear_sum_assignment(overlap, maximize=True)
-    idtp = int(overlap[rows, cols].sum())
+    overlap = {
+        pair: w
+        for pair, w in Counter(zip([o.vehicle_id for o in truth_obs], labels)).items()
+        if pair[1] is not None
+    }
+    idtp = 0
+    for rows, n_cols in _components(overlap):
+        if len(rows) == 1:
+            idtp += max(rows[0].values())
+        else:
+            idtp += _heaviest_matching(rows, n_cols)
     return IdScore(idtp=idtp, idfp=n_pred - idtp, idfn=n_truth - idtp)
+
+
+def _components(
+    overlap: Mapping[tuple[int, int], int]
+) -> Iterator[tuple[list[dict[int, int]], int]]:
+    """The connected components of the overlap graph.
+
+    Each is yielded as the adjacency of its smaller side, ``rows[i]``
+    mapping column index to weight, with the columns numbered
+    ``0..n_cols-1``; a component with one vehicle or one id has one row.
+    """
+    by_vid: dict[int, dict[int, int]] = {}
+    by_gid: dict[int, list[int]] = {}
+    for (vid, gid), w in overlap.items():
+        by_vid.setdefault(vid, {})[gid] = w
+        by_gid.setdefault(gid, []).append(vid)
+    seen: set[int] = set()
+    for start in by_vid:
+        if start in seen:
+            continue
+        seen.add(start)
+        vids = [start]
+        gid_pos: dict[int, int] = {}
+        for vid in vids:  # grows while it is walked
+            for gid in by_vid[vid]:
+                if gid not in gid_pos:
+                    gid_pos[gid] = len(gid_pos)
+                    for other in by_gid[gid]:
+                        if other not in seen:
+                            seen.add(other)
+                            vids.append(other)
+        if len(vids) <= len(gid_pos):
+            yield [
+                {gid_pos[gid]: w for gid, w in by_vid[vid].items()} for vid in vids
+            ], len(gid_pos)
+        else:
+            vid_pos = {vid: i for i, vid in enumerate(vids)}
+            yield [
+                {vid_pos[vid]: by_vid[vid][gid] for vid in by_gid[gid]} for gid in gid_pos
+            ], len(vids)
+
+
+def _heaviest_matching(rows: Sequence[Mapping[int, int]], n_cols: int) -> int:
+    """Weight of the heaviest one-to-one matching of a bipartite graph.
+
+    ``rows[i]`` maps column index to a positive integer weight. Each row
+    also gets a private zero-weight column ``n_cols + i`` that stands for
+    "left unmatched", so every row is assigned and the problem becomes a
+    minimum-cost assignment with costs ``-weight``. Rows are added one at a
+    time, each along a shortest augmenting path found by Dijkstra on costs
+    reduced by row and column potentials (Jonker & Volgenant, 1987), with
+    the dual update of Crouse (2016). Integer arithmetic keeps it exact.
+    """
+    n = len(rows)
+    adj = [{**row, n_cols + i: 0} for i, row in enumerate(rows)]
+    u = [0] * n  # row potentials
+    v = [0] * (n_cols + n)  # column potentials
+    col4row = [-1] * n
+    row4col = [-1] * (n_cols + n)
+    for s in range(n):
+        dist: dict[int, int] = {}  # tentative path cost to each reached column
+        via: dict[int, int] = {}  # the row each reached column was reached from
+        done: dict[int, int] = {}  # final path cost of each scanned column
+        path_rows = [s]
+        heap: list[tuple[int, int]] = []
+        i, d = s, 0
+        while True:
+            base = d - u[i]
+            for j, w in adj[i].items():
+                r = base - w - v[j]
+                if j not in dist or r < dist[j]:
+                    dist[j] = r
+                    via[j] = i
+                    heapq.heappush(heap, (r, j))
+            while True:
+                d, j = heapq.heappop(heap)
+                if j not in done:
+                    break
+            done[j] = d
+            i = row4col[j]
+            if i < 0:
+                break
+            path_rows.append(i)
+        u[s] += d
+        for i in path_rows[1:]:
+            u[i] += d - done[col4row[i]]
+        for j, dj in done.items():
+            v[j] -= d - dj
+        while True:  # flip the path's edges, from its free end back to s
+            i = via[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == s:
+                break
+    return sum(adj[i][j] for i, j in enumerate(col4row))
 
 
 def count_id_switches(
@@ -158,6 +255,17 @@ def count_id_switches(
     return switches
 
 
+def _percentile(ascending: Sequence[float], q: float) -> float:
+    """numpy's default ("linear") percentile of a non-empty ascending list."""
+    pos = q / 100 * (len(ascending) - 1)
+    lo = int(pos)
+    t = pos - lo
+    a = ascending[lo]
+    b = ascending[min(lo + 1, len(ascending) - 1)]
+    # the same two-sided interpolation as numpy, so the last digit agrees
+    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
+
+
 def summarize_throughput(
     snapshot_seconds: Sequence[float],
     frame_rate: float,
@@ -166,8 +274,8 @@ def summarize_throughput(
     """Wall-time summary of a stitching run, for the bench report."""
     n = len(snapshot_seconds)
     wall = float(sum(snapshot_seconds))
-    lat_ms = np.asarray(snapshot_seconds, dtype=float) * 1e3
-    occ = np.asarray(occupancy if len(occupancy) else [0], dtype=float)
+    lat_ms = sorted(s * 1e3 for s in snapshot_seconds)
+    occ = occupancy if len(occupancy) else [0]
     # 0 rather than inf when nothing ran: the report must stay valid JSON
     rate = n / wall if wall > 0.0 else 0.0
     return {
@@ -177,14 +285,14 @@ def summarize_throughput(
         "snapshots_per_s": rate,
         "realtime_factor": rate / frame_rate,
         "latency_ms": {
-            "mean": float(lat_ms.mean()) if n else 0.0,
-            "p50": float(np.percentile(lat_ms, 50)) if n else 0.0,
-            "p95": float(np.percentile(lat_ms, 95)) if n else 0.0,
-            "p99": float(np.percentile(lat_ms, 99)) if n else 0.0,
-            "max": float(lat_ms.max()) if n else 0.0,
+            "mean": sum(lat_ms) / n if n else 0.0,
+            "p50": _percentile(lat_ms, 50) if n else 0.0,
+            "p95": _percentile(lat_ms, 95) if n else 0.0,
+            "p99": _percentile(lat_ms, 99) if n else 0.0,
+            "max": lat_ms[-1] if n else 0.0,
         },
         "buffer_occupancy": {
-            "mean": float(occ.mean()),
-            "peak": int(occ.max()),
+            "mean": sum(occ) / len(occ),
+            "peak": max(occ),
         },
     }

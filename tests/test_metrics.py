@@ -1,6 +1,6 @@
 import math
-import random
 
+import pytest
 from hypothesis import given, strategies as st
 
 from camchain.metrics import (
@@ -19,6 +19,45 @@ from helpers import idf1_oracle
 
 def one_track(n=10, vid=1, cam=1, lid=1):
     return [TruthObs(f, cam, lid, vid) for f in range(n)]
+
+
+def instance(weights, unlabeled=()):
+    """Observations whose overlap counts are ``weights[(vehicle_id, gid)]``.
+
+    Each vehicle in ``unlabeled`` also gets one observation the engine never
+    labeled.
+    """
+    truth, gids = [], {}
+    for (vid, gid), w in sorted(weights.items()):
+        for _ in range(w):
+            gids[(len(truth), 1, 1)] = gid
+            truth.append(TruthObs(len(truth), 1, 1, vid))
+    truth += [TruthObs(len(truth) + k, 1, 1, vid) for k, vid in enumerate(unlabeled)]
+    return truth, gids
+
+
+@st.composite
+def overlap_instances(draw):
+    """Up to 6 vehicles x 7 gids, overlaps from 1 to 1,000 observations.
+
+    Each id falls in one of up to three blocks and overlaps only fall inside
+    a block, so an instance can hold several connected components, some of
+    them a single vehicle or gid.
+    """
+    n_vid = draw(st.integers(1, 6))
+    n_gid = draw(st.integers(1, 7))
+    blocks = st.integers(0, draw(st.integers(0, 2)))
+    vid_block = draw(st.lists(blocks, min_size=n_vid, max_size=n_vid))
+    gid_block = draw(st.lists(blocks, min_size=n_gid, max_size=n_gid))
+    weights = {}
+    for v in range(n_vid):
+        for g in range(n_gid):
+            if vid_block[v] == gid_block[g]:
+                w = draw(st.one_of(st.just(0), st.integers(1, 1000)))
+                if w:
+                    weights[(1 + v, 101 + g)] = w
+    unlabeled = draw(st.lists(st.integers(1, n_vid), max_size=3))
+    return instance(weights, unlabeled)
 
 
 class TestIdf1:
@@ -60,22 +99,28 @@ class TestIdf1:
         assert IdScore(0, 0, 0).idf1 is None
         assert IdScore(0, 3, 0).idf1 == 0.0
 
-    def test_matches_brute_force_on_random_instances(self):
-        rng = random.Random(20260814)
-        for _ in range(40):
-            n_obs = rng.randint(1, 30)
-            truth = []
-            gids = {}
-            for i in range(n_obs):
-                vid = rng.randint(1, 4)
-                cam = rng.randint(1, 2)
-                truth.append(TruthObs(i, cam, vid, vid))
-                if rng.random() < 0.8:
-                    gids[(i, cam, vid)] = rng.randint(101, 104)
-            score = compute_idf1(truth, gids)
-            idtp, idf1 = idf1_oracle(truth, gids)
-            assert score.idtp == idtp
-            assert score.idf1 == idf1
+    @given(overlap_instances())
+    def test_matches_brute_force_on_random_instances(self, case):
+        truth, gids = case
+        score = compute_idf1(truth, gids)
+        idtp, idf1 = idf1_oracle(truth, gids)
+        assert score.idtp == idtp
+        assert score.idf1 == idf1
+
+    @pytest.mark.parametrize(
+        "weights, idtp",
+        [
+            # taking the heaviest edge first, 1-101 (10), leaves vehicle 2
+            # unpaired; 1-102 + 2-101 is 17
+            ({(1, 101): 10, (1, 102): 9, (2, 101): 8}, 17),
+            # pairing all three (1-103, 2-101, 3-102) scores 9; the best,
+            # 1-102 + 2-103, leaves vehicle 3 and id 101 unpaired
+            ({(1, 102): 7, (1, 103): 5, (2, 101): 2, (2, 103): 3, (3, 102): 2}, 10),
+        ],
+    )
+    def test_hand_instances(self, weights, idtp):
+        truth, gids = instance(weights)
+        assert compute_idf1(truth, gids).idtp == idtp == idf1_oracle(truth, gids)[0]
 
 
 class TestSwitches:
@@ -222,3 +267,22 @@ class TestThroughput:
         assert math.isclose(lat["mean"], 10.0)
         assert rep["buffer_occupancy"]["peak"] == 3
         assert math.isclose(rep["buffer_occupancy"]["mean"], 2.0)
+
+    def test_percentiles_interpolate_linearly(self):
+        # sorted ms: 1 2 3 4 5 8 12; percentile q sits at index q/100 * 6,
+        # between the two values around it
+        rep = summarize_throughput(
+            [0.003, 0.001, 0.012, 0.002, 0.005, 0.004, 0.008], 10.0, [0, 3, 1, 4, 1, 5, 7]
+        )
+        expected = {
+            "mean": 35 / 7,
+            "p50": 4.0,  # index 3
+            "p95": 8.0 + 0.7 * (12.0 - 8.0),  # index 5.7
+            "p99": 8.0 + 0.94 * (12.0 - 8.0),  # index 5.94
+            "max": 12.0,
+        }
+        lat = rep["latency_ms"]
+        assert lat.keys() == expected.keys()
+        for key, want in expected.items():
+            assert math.isclose(lat[key], want, rel_tol=1e-12), key
+        assert rep["buffer_occupancy"] == {"mean": 3.0, "peak": 7}

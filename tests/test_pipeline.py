@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import camchain
 from camchain import pipeline as pl
 from camchain.formats import load_json
 from camchain.handover import MatcherConfig, MatchStrategy
@@ -140,3 +145,17 @@ class TestBench:
         assert set(thr["latency_ms"]) == {"mean", "p50", "p95", "p99", "max"}
         assert thr["buffer_occupancy"]["peak"] >= 1
         assert rep["barrier"]["released"] == 400
+
+
+def test_importing_the_package_loads_no_numpy_or_scipy():
+    # a fresh interpreter: this one may have loaded either for other reasons
+    src = str(Path(camchain.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, camchain; "
+        "print(sorted(m for m in sys.modules if m.startswith(('numpy', 'scipy'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from camchain.errors import ConfigError
+from camchain.errors import CausalityError, ConfigError
 from camchain.handover import HandoverEngine
+from camchain.pipeline import stitch_updates
 from camchain.simulator import (
     MIN_GAP,
     VEHICLE_LENGTH,
@@ -404,36 +405,59 @@ class TestFootprintSelection:
 
 
 class TestGcPause:
+    """run_sim and stitch_updates pause the cyclic GC over their loops."""
+
+    # stage -> (class and method its loop calls once per step, how to run it)
+    STAGES = {
+        "run_sim": (World, "step", lambda sim: run_sim(quiet(duration_s=1.0), 1)),
+        "stitch_updates": (
+            HandoverEngine,
+            "process_snapshot",
+            lambda sim: stitch_updates(sim.topology, sim.updates),
+        ),
+    }
+
     @pytest.mark.parametrize("enabled", [True, False])
-    def test_run_sim_leaves_gc_as_it_found_it(self, enabled, monkeypatch):
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_leaves_gc_as_it_found_it(self, stage, enabled, monkeypatch):
+        owner, name, run = self.STAGES[stage]
+        sim = run_sim(quiet(duration_s=1.0), 1)
         seen = []
-        step = World.step
+        inner = getattr(owner, name)
 
-        def spy(self):
+        def spy(self, *args):
             seen.append(gc.isenabled())
-            step(self)
+            return inner(self, *args)
 
-        monkeypatch.setattr(World, "step", spy)
+        monkeypatch.setattr(owner, name, spy)
         if not enabled:
             gc.disable()
         try:
-            run_sim(quiet(duration_s=1.0), 1)
+            run(sim)
             assert gc.isenabled() is enabled
         finally:
             gc.enable()
-        assert seen and not any(seen)  # paused for the whole frame loop
+        assert seen and not any(seen)  # paused for the whole loop
 
     @pytest.mark.parametrize("enabled", [True, False])
-    def test_a_failing_step_still_restores_gc(self, enabled, monkeypatch):
-        def boom(self):
-            raise RuntimeError("step failed")
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_a_failure_still_restores_gc(self, stage, enabled, monkeypatch):
+        sim = run_sim(quiet(duration_s=1.0), 1)
+        if stage == "run_sim":
+            def boom(self):
+                raise RuntimeError("step failed")
 
-        monkeypatch.setattr(World, "step", boom)
+            monkeypatch.setattr(World, "step", boom)
+            error = RuntimeError
+        else:
+            # camera 1 delivers frame 0 again after frame 9: the barrier rejects it
+            sim.updates.append(sim.updates[0])
+            error = CausalityError
         if not enabled:
             gc.disable()
         try:
-            with pytest.raises(RuntimeError, match="step failed"):
-                run_sim(quiet(duration_s=1.0), 1)
+            with pytest.raises(error):
+                self.STAGES[stage][2](sim)
             assert gc.isenabled() is enabled
         finally:
             gc.enable()
