@@ -5,12 +5,12 @@ The in-memory path (``run_scenario``) and the file path (``simulate`` then
 artifacts byte for byte: the frame barrier makes snapshot content
 independent of delivery order, and the engine is deterministic given
 snapshots. ``report.json`` carries no wall-clock numbers; timing lives only
-in ``bench_report.json``.
+in ``bench_report.json``. ``stitch_updates`` and the four ``*_dir`` commands
+run with the cyclic GC paused (``tracks.gc_paused``), reads and writes included.
 """
 
 from __future__ import annotations
 
-import gc
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -50,7 +50,7 @@ from .metrics import (
 from .simulator import ScenarioConfig, SimResult, TrueHandover, TruthObs, run_sim
 from .sync import BarrierConfig, StreamUpdate, SyncBarrier
 from .topology import TopologyGraph
-from .tracks import TrajRow
+from .tracks import TrajRow, gc_paused
 
 OBSERVATIONS = "observations.csv"
 TRAJECTORIES = "trajectories.csv"
@@ -88,6 +88,7 @@ class StitchResult:
         return [row for gid in sorted(trajs) for row in trajs[gid].states]
 
 
+@gc_paused
 def stitch_updates(
     topology: TopologyGraph,
     updates: Iterable[StreamUpdate],
@@ -110,23 +111,15 @@ def stitch_updates(
         result.occupancy.append(engine.total_buffered())
         result.snapshots += 1
 
-    # The barrier and the engine build no reference cycles, so the cyclic GC
-    # would only rescan the records they keep.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for u in updates:
-            barrier.ingest(u)
-            while True:
-                snap = barrier.try_release()
-                if snap is None:
-                    break
-                consume(snap)
-        for snap in barrier.drain():
+    for u in updates:
+        barrier.ingest(u)
+        while True:
+            snap = barrier.try_release()
+            if snap is None:
+                break
             consume(snap)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    for snap in barrier.drain():
+        consume(snap)
     result.barrier_stats = asdict(barrier.stats)
     return result
 
@@ -194,12 +187,14 @@ def write_simulation(
     write_truth_handovers(out / TRUTH_HANDOVERS, sim.truth_handovers)
 
 
+@gc_paused
 def simulate_to_dir(cfg: ScenarioConfig, seed: int, out_dir: str | Path) -> SimResult:
     sim = run_sim(cfg, seed)
     write_simulation(sim, out_dir)
     return sim
 
 
+@gc_paused
 def stitch_dir(
     in_dir: str | Path,
     out_dir: Optional[str | Path] = None,
@@ -247,6 +242,7 @@ def stitch_dir(
     return stitch
 
 
+@gc_paused
 def evaluate_dir(in_dir: str | Path, out_dir: Optional[str | Path] = None) -> dict:
     """Score trajectories.csv in a directory against its truth tables."""
     src = Path(in_dir)
@@ -270,6 +266,7 @@ def evaluate_dir(in_dir: str | Path, out_dir: Optional[str | Path] = None) -> di
     return report
 
 
+@gc_paused
 def run_to_dir(
     cfg: ScenarioConfig,
     seed: int,

@@ -14,6 +14,9 @@ Per frame each camera reports the vehicles whose calibration-corrected
 position falls inside its footprint, with optional dropout, pixel noise,
 and delivery jitter. Local track ids are per camera and survive only
 unbroken runs of consecutive frames, so a dropout fragments the track.
+Each camera also keeps every vehicle's first and last frame seen, from which
+the true handovers follow without a second pass over the observations.
+``World.run`` runs with the cyclic GC paused (``tracks.gc_paused``).
 
 Every random draw comes from its own purpose-keyed generator seeded as
 ``f"{seed}/{purpose}"``, so toggling one noise knob never shifts another
@@ -24,11 +27,10 @@ change", so a dropped vehicle still uses up its noise pair.
 
 from __future__ import annotations
 
-import gc
 import math
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence
@@ -38,7 +40,7 @@ from .geometry import Point2, Polygon, RoadFrame
 from .kinematics import Calibration
 from .sync import StreamUpdate
 from .topology import CameraNode, EdgeDef, TopologyGraph
-from .tracks import TrackState
+from .tracks import TrackState, gc_paused
 
 VEHICLE_LENGTH = 4.5      # m, bumper to bumper
 MIN_GAP = 2.0             # m, standstill spacing
@@ -440,6 +442,7 @@ class World:
         self._residency: dict[int, dict[int, tuple[int, int]]] = {
             n.id: {} for n in self.topology.nodes
         }
+        self._first_seen: dict[int, dict[int, int]] = {n.id: {} for n in self.topology.nodes}
         self._drop_rng = {n.id: _stream(seed, f"dropout/{n.id}") for n in self.topology.nodes}
         self._noise_rng = {n.id: _stream(seed, f"pos_noise/{n.id}") for n in self.topology.nodes}
         self._plan_by_vid = {p.vid: p for p in self._pending}
@@ -684,6 +687,7 @@ class World:
             drop = self._drop_rng[cam]
             noise = self._noise_rng[cam]
             res = self._residency[cam]
+            first_seen = self._first_seen[cam]
             tracks = []
             for v, rx in in_footprint(by_x, xs, a, b, self._drift(cam, t_report)):
                 # a non-zero knob draws for every visible vehicle, used or
@@ -702,6 +706,7 @@ class World:
                 if prev is not None and prev[1] == f - 1:
                     lid = prev[0]
                 else:
+                    first_seen.setdefault(v.vid, f)
                     self._lid_counter[cam] += 1
                     lid = self._lid_counter[cam]
                 res[v.vid] = (lid, f)
@@ -723,39 +728,22 @@ class World:
         self._spawn_due(t)
         self._observe(f, round(t, 6))
 
+    @gc_paused
     def run(self) -> SimResult:
-        # The frame loop builds an acyclic result, so the cyclic GC would only rescan it.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for _ in range(self.frame_count):
-                self.step()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        for _ in range(self.frame_count):
+            self.step()
+        # a vehicle still alive at the end despawns at duration_s
         t_end = self.cfg.duration_s
-        for v in self.alive:
-            self._despawned.setdefault(v.vid, t_end)
-        tracks = []
-        for vid in sorted(self._tracks):
-            tr = self._tracks[vid]
-            tracks.append(
-                TruthTrack(
-                    vehicle_id=tr.vehicle_id,
-                    direction=tr.direction,
-                    lane=tr.lane,
-                    desired_speed_kmh=tr.desired_speed_kmh,
-                    spawn_t=tr.spawn_t,
-                    despawn_t=self._despawned.get(vid, t_end),
-                    kind=tr.kind,
-                )
-            )
+        tracks = [
+            replace(tr, despawn_t=self._despawned.get(vid, t_end))
+            for vid, tr in sorted(self._tracks.items())
+        ]
         return SimResult(
             config=self.cfg,
             seed=self.seed,
             topology=self.topology,
             updates=self._jittered_updates(),
-            truth_obs=list(self.truth_obs),
+            truth_obs=self.truth_obs,
             truth_tracks=tracks,
             truth_handovers=self._true_handovers(),
             frame_count=self.frame_count,
@@ -781,32 +769,18 @@ class World:
         ]
 
     def _true_handovers(self) -> list[TrueHandover]:
+        """Consecutive camera visits of each vehicle, ordered by first frame seen."""
         fps = self.cfg.frame_rate
-        span: dict[tuple[int, int], tuple[int, int]] = {}
-        for o in self.truth_obs:
-            key = (o.vehicle_id, o.camera_id)
-            if key in span:
-                lo, hi = span[key]
-                span[key] = (min(lo, o.frame_index), max(hi, o.frame_index))
-            else:
-                span[key] = (o.frame_index, o.frame_index)
-        by_vid: dict[int, list[tuple[int, int, int]]] = {}
-        for (vid, cam), (lo, hi) in span.items():
-            by_vid.setdefault(vid, []).append((lo, hi, cam))
-        out = []
-        for vid in sorted(by_vid):
-            visits = sorted(by_vid[vid])  # by first frame seen
-            for (_, hi_a, cam_a), (lo_b, _, cam_b) in zip(visits, visits[1:]):
-                out.append(
-                    TrueHandover(
-                        vehicle_id=vid,
-                        from_camera=cam_a,
-                        to_camera=cam_b,
-                        t_exit=round(hi_a / fps, 6),
-                        t_enter=round(lo_b / fps, 6),
-                    )
-                )
-        return out
+        visits = sorted(
+            (vid, lo, self._residency[cam][vid][1], cam)
+            for cam, first_seen in self._first_seen.items()
+            for vid, lo in first_seen.items()
+        )
+        return [
+            TrueHandover(vid, cam_a, cam_b, round(hi_a / fps, 6), round(lo_b / fps, 6))
+            for (vid, _, hi_a, cam_a), (vid_b, lo_b, _, cam_b) in zip(visits, visits[1:])
+            if vid == vid_b
+        ]
 
 
 def run_sim(cfg: ScenarioConfig, seed: int) -> SimResult:

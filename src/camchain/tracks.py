@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import gc
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -69,3 +71,24 @@ class GlobalTrajectory:
         for s in self.states:
             seen.setdefault(s.camera_id, None)
         return tuple(seen)
+
+
+def gc_paused(fn):
+    """Run ``fn`` with the cyclic GC paused; the outermost call restores it.
+
+    The data path's tuple records are never untracked by CPython and form no
+    cycles, so a full collection would only rescan them. The pause is
+    process-wide: other threads run without cyclic collection meanwhile.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return paused

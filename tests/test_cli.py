@@ -1,7 +1,9 @@
 import copy
+import gc
 import io
 import json
 import math
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from camchain import cli
 from camchain import pipeline as pl
+from camchain.errors import MalformedInputError
 from camchain.formats import load_json, scenario_from_dict, scenario_to_dict, topology_to_dict
 from camchain.handover import MatcherConfig
 from camchain.simulator import build_topology
@@ -204,6 +207,35 @@ class TestExitCodes:
         (d / name).write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
         assert run_cli(command, "--in-dir", str(d)) == 5
         assert f"{name}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,name,call",
+        [
+            ("stitch", pl.OBSERVATIONS, pl.stitch_dir),
+            ("evaluate", pl.TRAJECTORIES, pl.evaluate_dir),
+        ],
+        ids=["stitch", "evaluate"],
+    )
+    def test_a_malformed_last_row_is_5_and_writes_nothing(
+        self, tmp_path, fixtures_dir, capsys, command, name, call
+    ):
+        d = self.simulate_small(tmp_path, fixtures_dir)
+        assert run_cli("stitch", "--in-dir", str(d)) == 0
+        lines = (d / name).read_text().splitlines()
+        cells = lines[-1].split(",")
+        cells[lines[0].split(",").index("x_m")] = "east"
+        lines[-1] = ",".join(cells)
+        (d / name).write_text("\n".join(lines) + "\n")
+        where = f"{d / name}:{len(lines)}: "
+        out = tmp_path / "out"
+        with pytest.raises(MalformedInputError, match=re.escape(where)):
+            call(d, out)
+        assert gc.isenabled()
+        assert run_cli(command, "--in-dir", str(d), "--out-dir", str(out)) == 5
+        assert where in capsys.readouterr().err
+        assert gc.isenabled()
+        assert not (out / pl.TRAJECTORIES).exists()
+        assert not (out / pl.REPORT).exists()
 
     @pytest.mark.parametrize(
         "key,value", [("frame_rate", 0.0), ("frame_count", -1)], ids=["rate", "count"]

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from camchain import pipeline as pl
 from camchain.errors import CausalityError, ConfigError
 from camchain.handover import HandoverEngine
-from camchain.pipeline import stitch_updates
 from camchain.simulator import (
     MIN_GAP,
     VEHICLE_LENGTH,
@@ -21,6 +21,7 @@ from camchain.simulator import (
     in_footprint,
     run_sim,
 )
+from camchain.sync import SyncBarrier
 
 
 def quiet(**kw):
@@ -219,6 +220,35 @@ class TestTruthInvariants:
         ]
         assert frozen  # somebody sat motionless inside the wave
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(noise=NoiseConfig(dropout_rate=0.2, sync_jitter_frames=3)),
+            dict(drift_amplitude_m=3.0, drift_period_s=7.0),
+            dict(blind_gap_m=30.0, lanes_per_dir=2, flow_west_vpm=6.0),
+            dict(regime=Regime.MERGE_DIVERGE, n_cameras=5),
+        ],
+        ids=["dropout", "drift", "blind-gap-two-way", "merge"],
+    )
+    def test_handovers_equal_a_rescan_of_the_truth_observations(self, kw):
+        sim = run_sim(ScenarioConfig(duration_s=60.0, **kw), 3)
+        span = {}
+        for o in sim.truth_obs:
+            lo, hi = span.get((o.vehicle_id, o.camera_id), (o.frame_index, o.frame_index))
+            span[o.vehicle_id, o.camera_id] = (min(lo, o.frame_index), max(hi, o.frame_index))
+        visits = sorted((vid, lo, hi, cam) for (vid, cam), (lo, hi) in span.items())
+        fps = sim.config.frame_rate
+        want = [
+            (vid, cam_a, cam_b, round(hi_a / fps, 6), round(lo_b / fps, 6))
+            for (vid, _, hi_a, cam_a), (vid_b, lo_b, _, cam_b) in zip(visits, visits[1:])
+            if vid == vid_b
+        ]
+        got = [
+            (h.vehicle_id, h.from_camera, h.to_camera, h.t_exit, h.t_enter)
+            for h in sim.truth_handovers
+        ]
+        assert got == want and len(want) >= 10
+
 
 class TestLocalIds:
     def test_dropout_fragments_tracks_but_ids_stay_contiguous(self):
@@ -404,60 +434,92 @@ class TestFootprintSelection:
         assert got == reference_scan([car], a, b, -25.0) == [(car, 65.0)]
 
 
-class TestGcPause:
-    """run_sim and stitch_updates pause the cyclic GC over their loops."""
+ONE_CAR = quiet(duration_s=3.0, scripted_vehicles=(ScriptedVehicle(spawn_t=0.0, speed_kmh=54.0),))
 
-    # stage -> (class and method its loop calls once per step, how to run it)
+
+class TestGcPause:
+    """Every data-path entry point pauses the cyclic GC until it returns."""
+
+    # entry point -> (owner and name of a call it makes late, how to run it
+    # given a simulation and a directory already simulated and stitched)
     STAGES = {
-        "run_sim": (World, "step", lambda sim: run_sim(quiet(duration_s=1.0), 1)),
+        "run_sim": (World, "_true_handovers", lambda sim, d: run_sim(ONE_CAR, 1)),
         "stitch_updates": (
-            HandoverEngine,
-            "process_snapshot",
-            lambda sim: stitch_updates(sim.topology, sim.updates),
+            SyncBarrier, "drain", lambda sim, d: pl.stitch_updates(sim.topology, sim.updates)
         ),
+        "simulate_to_dir": (
+            pl, "write_truth_handovers", lambda sim, d: pl.simulate_to_dir(ONE_CAR, 1, d)
+        ),
+        "stitch_dir": (pl, "write_events", lambda sim, d: pl.stitch_dir(d)),
+        "evaluate_dir": (pl, "compute_idf1", lambda sim, d: pl.evaluate_dir(d)),
+        "run_to_dir": (pl, "dump_json", lambda sim, d: pl.run_to_dir(ONE_CAR, 1, d)),
     }
+
+    @pytest.fixture
+    def stitched(self, tmp_path):
+        sim = pl.simulate_to_dir(ONE_CAR, 1, tmp_path)
+        pl.stitch_dir(tmp_path)
+        return sim, tmp_path
 
     @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize("stage", STAGES)
-    def test_leaves_gc_as_it_found_it(self, stage, enabled, monkeypatch):
+    def test_leaves_gc_as_it_found_it(self, stage, enabled, stitched, monkeypatch):
         owner, name, run = self.STAGES[stage]
-        sim = run_sim(quiet(duration_s=1.0), 1)
         seen = []
         inner = getattr(owner, name)
 
-        def spy(self, *args):
+        def spy(*args, **kwargs):
             seen.append(gc.isenabled())
-            return inner(self, *args)
+            return inner(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, spy)
         if not enabled:
             gc.disable()
         try:
-            run(sim)
+            run(*stitched)
             assert gc.isenabled() is enabled
         finally:
             gc.enable()
-        assert seen and not any(seen)  # paused for the whole loop
+        assert seen and not any(seen)  # still paused late in the call
 
     @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize("stage", STAGES)
-    def test_a_failure_still_restores_gc(self, stage, enabled, monkeypatch):
-        sim = run_sim(quiet(duration_s=1.0), 1)
-        if stage == "run_sim":
-            def boom(self):
-                raise RuntimeError("step failed")
+    def test_a_failure_still_restores_gc(self, stage, enabled, stitched, monkeypatch):
+        owner, name, run = self.STAGES[stage]
 
-            monkeypatch.setattr(World, "step", boom)
-            error = RuntimeError
-        else:
-            # camera 1 delivers frame 0 again after frame 9: the barrier rejects it
-            sim.updates.append(sim.updates[0])
-            error = CausalityError
+        def boom(*args, **kwargs):
+            raise RuntimeError(f"{name} failed")
+
+        monkeypatch.setattr(owner, name, boom)
         if not enabled:
             gc.disable()
         try:
-            with pytest.raises(error):
-                self.STAGES[stage][2](sim)
+            with pytest.raises(RuntimeError, match=f"{name} failed"):
+                run(*stitched)
             assert gc.isenabled() is enabled
         finally:
             gc.enable()
+
+    def test_a_rejected_update_still_restores_gc(self, stitched):
+        sim, _ = stitched
+        # camera 1 delivers frame 0 again after the last frame: the barrier rejects it
+        with pytest.raises(CausalityError):
+            pl.stitch_updates(sim.topology, [*sim.updates, sim.updates[0]])
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_nested_pauses_restore_gc_once(self, stage, enabled, stitched, monkeypatch):
+        # simulate_to_dir, stitch_dir and run_to_dir call World.run or
+        # stitch_updates, each paused in its own right
+        real_enable = gc.enable
+        if not enabled:
+            gc.disable()
+        enables = []
+        monkeypatch.setattr(gc, "enable", lambda: enables.append(real_enable()))
+        try:
+            self.STAGES[stage][2](*stitched)
+            assert gc.isenabled() is enabled
+            assert len(enables) == enabled
+        finally:
+            real_enable()

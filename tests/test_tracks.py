@@ -1,8 +1,13 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from camchain.geometry import Point2
 from camchain.tracks import GlobalTrajectory
 from helpers import ts
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "camchain"
 
 
 def test_track_state_is_frozen():
@@ -26,3 +31,35 @@ class TestGlobalTrajectory:
             ts(2, 1, 0.2, 14.0, -2.0),
         ]
         assert traj.cameras == (2, 1)
+
+
+
+def test_only_gc_paused_switches_the_gc():
+    """A pause written by hand, outside ``tracks.gc_paused``, fails here."""
+    guard = next(
+        n for n in ast.parse((SRC / "tracks.py").read_text()).body
+        if isinstance(n, ast.FunctionDef) and n.name == "gc_paused"
+    )
+    inside = range(guard.lineno, guard.end_lineno + 1)
+    switches, stray = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = f"{path.relative_to(SRC)}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.ImportFrom) and node.module == "gc":
+                stray.append(where)  # from gc import disable: no gc. prefix to find
+            elif isinstance(node, ast.Import) and any(
+                a.name == "gc" and a.asname for a in node.names
+            ):
+                stray.append(where)  # import gc as ...: likewise
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("disable", "enable")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "gc"
+            ):
+                if path.name == "tracks.py" and node.lineno in inside:
+                    switches.append(node.attr)
+                else:
+                    stray.append(where)
+    assert stray == []
+    assert sorted(switches) == ["disable", "enable"]
