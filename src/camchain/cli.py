@@ -201,7 +201,8 @@ def _cmd_run(args) -> int:
 def _cmd_bench(args) -> int:
     cfg = _build_scenario(args)
     bench = bench_scenario(
-        cfg, args.seed, matcher=_build_matcher(args), out_dir=args.out_dir
+        cfg, args.seed, matcher=_build_matcher(args), out_dir=args.out_dir,
+        max_lag=args.max_lag,
     )
     tp = bench["throughput"]
     print(

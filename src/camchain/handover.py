@@ -32,16 +32,14 @@ from operator import attrgetter
 from typing import Container, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import CausalityError, ConfigError, MalformedInputError
-from .geometry import (
-    BOUNDARY_EPS, Point2, RoadFrame, Zone, get_zone, lateral_norm, point_in_polygon,
-)
+from .geometry import BOUNDARY_EPS, Point2, Zone, get_zone, lateral_norm, point_in_polygon
 from .kinematics import (
     DEFAULT_SPEED_WINDOW,
+    DEFAULT_STOP_SPEED_KMH,
+    DEFAULT_STOP_THRESHOLD_M,
+    MPS_TO_KMH,
     KinematicState,
     MotionStatus,
-    estimate_heading,
-    estimate_speed,
-    motion_status,
 )
 from .sync import Snapshot
 from .topology import EdgeDef, EdgeKey, TopologyGraph, edge_is_exit
@@ -50,6 +48,9 @@ from .tracks import GlobalTrajectory, TrackState, TrajRow
 # Heading projections smaller than this cannot pick a travel direction and
 # the lateral-position rule decides the zone instead.
 _PROJECTION_EPS = 1e-12
+
+_STOPPED, _MOVING = MotionStatus.STOPPED, MotionStatus.MOVING
+_TWO_PI = 2.0 * math.pi  # as kinematics.wrap_angle computes it
 
 
 class MatchStrategy(Enum):
@@ -93,8 +94,9 @@ class MatcherConfig:
 class BufferEntry(NamedTuple):
     """One parked identity awaiting pickup on the far side of an edge.
 
-    The engine builds it and ``HandoverEvent`` positionally: reordering
-    fields of either changes what it stores.
+    The engine builds it and ``HandoverEvent`` positionally with
+    ``tuple.__new__``: reordering fields of either changes what it stores,
+    and a check added to either would not run on the engine's path.
     """
 
     global_id: int
@@ -126,6 +128,9 @@ class HandoverEvent(NamedTuple):
     y_rel: Optional[float] = None
     age: Optional[float] = None
     residual: Optional[float] = None
+
+
+_PUSHED, _MATCHED, _NEW_IDENTITY = EventKind.PUSHED, EventKind.MATCHED, EventKind.NEW_IDENTITY
 
 
 class DirectionalBuffer:
@@ -192,6 +197,30 @@ class _Trigger(NamedTuple):
     exit_zone: Zone  # the zone that leaves this camera across the edge
     exit_buffer: DirectionalBuffer
     entry_buffer: DirectionalBuffer
+
+
+def _direction(
+    heading: Optional[float], status: Optional[MotionStatus]
+) -> Optional[tuple[float, float]]:
+    """A track's travel direction as (cos, sin) of its heading, or None.
+
+    A stopped vehicle's held heading is stale, so it counts as unknown.
+    """
+    if heading is None or status is _STOPPED:
+        return None
+    return math.cos(heading), math.sin(heading)
+
+
+def _zone(trig: _Trigger, pos: Point2, direction: Optional[tuple[float, float]]) -> Zone:
+    """Travel direction decides the zone; lateral position breaks ties."""
+    frame = trig.edge.frame
+    if direction is not None:
+        p = direction[0] * frame.axis.x + direction[1] * frame.axis.y
+        if p > _PROJECTION_EPS:
+            return Zone.UPPER
+        if p < -_PROJECTION_EPS:
+            return Zone.LOWER
+    return get_zone(pos, frame)
 
 
 @dataclass(slots=True)
@@ -280,28 +309,6 @@ class HandoverEngine:
     def total_buffered(self) -> int:
         return sum(len(b._entries) for b in self._buffers.values())
 
-    # -- zone inference ----------------------------------------------------
-
-    def _zone_for(
-        self,
-        pos: Point2,
-        heading: Optional[float],
-        status: Optional[MotionStatus],
-        frame: RoadFrame,
-    ) -> Zone:
-        """Travel direction decides the zone; lateral position breaks ties.
-
-        A stopped vehicle's held heading is stale, so it also falls back to
-        the lateral rule.
-        """
-        if heading is not None and status is not MotionStatus.STOPPED:
-            p = math.cos(heading) * frame.axis.x + math.sin(heading) * frame.axis.y
-            if p > _PROJECTION_EPS:
-                return Zone.UPPER
-            if p < -_PROJECTION_EPS:
-                return Zone.LOWER
-        return get_zone(pos, frame)
-
     # -- matching ----------------------------------------------------------
 
     def _scan(
@@ -389,31 +396,11 @@ class HandoverEngine:
         return out
 
     def _log(self, events: list[HandoverEvent]) -> None:
-        for ev in events:
-            self.counts[ev.kind.value] += 1
+        # _value_ skips the Python-level Enum.value property
+        self.counts.update(ev.kind._value_ for ev in events)
         self.events.extend(events)
 
     # -- snapshot processing -------------------------------------------------
-
-    def _trigger_edges(
-        self, near: tuple[_Trigger, ...], pos: Point2, kin: KinematicState, leaving: bool
-    ) -> Iterator[tuple[EdgeDef, Zone, DirectionalBuffer, float]]:
-        """(edge, zone, buffer, lateral offset) for each trigger region holding
-        ``pos`` that the track is leaving across, or arriving across when not
-        ``leaving``; ``near`` holds the triggers whose box holds ``pos``.
-
-        At an edge's own cameras arriving is exactly not leaving, so one
-        direction test serves both.
-        """
-        for trig in near:
-            edge = trig.edge
-            zone = self._zone_for(pos, kin.heading_rad, kin.status, edge.frame)
-            if (zone is trig.exit_zone) != leaving:
-                continue
-            if not point_in_polygon(pos, edge.overlap):
-                continue
-            buf = trig.exit_buffer if leaving else trig.entry_buffer
-            yield edge, zone, buf, lateral_norm(pos, edge.frame)
 
     def process_snapshot(self, snap: Snapshot) -> list[HandoverEvent]:
         frame_index, t = snap.frame_index, snap.t
@@ -455,11 +442,15 @@ class HandoverEngine:
 
         # kinematics first: every visible track gets an updated estimate;
         # a touched record moves to the back, so records stay in last_t order.
+        # The estimate is camchain.kinematics' estimate_speed, motion_status
+        # and estimate_heading inlined, float operation for float operation.
         # Only a track inside one of its camera's trigger boxes can push or
         # match, only across the edges whose box holds it, and only it needs
         # its position as a Point2.
         records = self._records
         k = DEFAULT_SPEED_WINDOW
+        new = tuple.__new__
+        hypot = math.hypot
         ordered: list[tuple[TrackState, _TrackRecord]] = []
         leavers: list[tuple[int, TrackState, _TrackRecord, Point2, tuple[_Trigger, ...]]] = []
         births: list[
@@ -469,8 +460,11 @@ class HandoverEngine:
         for cam, tracks in per_camera:
             live_here = live[cam] = set()
             triggers = self._triggers[cam]
+            cal = self._calibration[cam]
+            m_per_px, window_s = cal.m_per_px, k * cal.frame_dt
             for st in tracks:
-                key = (cam, st.local_id)
+                _, _, lid, _, x_px, y_px, x, y = st
+                key = (cam, lid)
                 rec = records.pop(key, None)
                 if rec is None:
                     rec = _TrackRecord(px_hist=deque(maxlen=k + 1))
@@ -478,18 +472,28 @@ class HandoverEngine:
                     rec.px_hist.clear()  # a gap breaks the uniform-step speed window
                     rec.last_pos = None
                 records[key] = rec
-                rec.px_hist.append((st.x_px, st.y_px))
-                speed = status = None
-                if len(rec.px_hist) > k:
-                    speed = estimate_speed(rec.px_hist, self._calibration[cam], k)
-                    status = motion_status(speed)
-                x, y = xy = st.x_m, st.y_m
+                hist = rec.px_hist
+                hist.append((x_px, y_px))
+                if len(hist) > k:
+                    x0, y0 = hist[0]
+                    speed = hypot(x_px - x0, y_px - y0) * m_per_px / window_s * MPS_TO_KMH
+                    status = _STOPPED if speed < DEFAULT_STOP_SPEED_KMH else _MOVING
+                else:
+                    speed = status = None
                 heading = rec.heading
-                if rec.last_pos is not None:
-                    heading = estimate_heading(rec.last_pos, xy, heading)
+                last = rec.last_pos
+                if last is not None:
+                    dx = x - last[0]
+                    dy = y - last[1]
+                    if hypot(dx, dy) >= DEFAULT_STOP_THRESHOLD_M:
+                        # wrap_angle(atan2(dy, dx))
+                        w = math.fmod(math.atan2(dy, dx) + math.pi, _TWO_PI)
+                        if w <= 0.0:
+                            w += _TWO_PI
+                        heading = w - math.pi
                 rec.kin = KinematicState(speed, heading, status)
                 rec.heading = heading
-                rec.last_pos = xy
+                rec.last_pos = (x, y)
                 rec.last_t = t
                 rec.last_frame = frame_index
                 ordered.append((st, rec))
@@ -498,7 +502,7 @@ class HandoverEngine:
                     lo_x, lo_y, hi_x, hi_y = trig.box
                     if not (x < lo_x or x > hi_x or y < lo_y or y > hi_y):
                         near += (trig,)
-                pos = Point2(x, y) if near else None
+                pos = new(Point2, (x, y)) if near else None
                 if rec.global_id is None:
                     births.append((cam, st, rec, pos, near))
                 else:
@@ -508,42 +512,64 @@ class HandoverEngine:
 
         # identified tracks inside a trigger region park their id downstream
         out: list[HandoverEvent] = []
+        seq = self._next_seq
         for cam, st, rec, pos, near in leavers:
-            kin = rec.kin
-            gid, lid, heading = rec.global_id, st.local_id, kin.heading_rad
-            for edge, zone, buf, y_rel in self._trigger_edges(near, pos, kin, leaving=True):
-                self._next_seq += 1
-                buf.push(BufferEntry(gid, cam, lid, t, y_rel, self._next_seq, heading, pos))
+            _, heading, status = rec.kin
+            gid, lid = rec.global_id, st.local_id
+            direction = _direction(heading, status)
+            for trig in near:
+                zone = _zone(trig, pos, direction)
+                if zone is not trig.exit_zone:
+                    continue
+                edge = trig.edge
+                if not point_in_polygon(pos, edge.overlap):
+                    continue
+                y_rel = lateral_norm(pos, edge.frame)
+                buf = trig.exit_buffer
+                seq += 1
+                buf.push(new(BufferEntry, (gid, cam, lid, t, y_rel, seq, heading, pos)))
                 out.append(
-                    HandoverEvent(
-                        EventKind.PUSHED, frame_index, t, cam, lid, gid, edge.key, zone, y_rel
-                    )
+                    new(HandoverEvent, (
+                        _PUSHED, frame_index, t, cam, lid, gid, buf.edge_key, zone, y_rel,
+                        None, None,
+                    ))
                 )
+        self._next_seq = seq
 
         # unidentified tracks inherit a parked id or mint a fresh one
         for cam, st, rec, pos, near in births:
-            kin = rec.kin
+            _, heading, status = rec.kin
+            direction = _direction(heading, status)
             best = None
-            for edge, zone, buf, y_rel in self._trigger_edges(near, pos, kin, leaving=False):
-                found = self._scan(buf, t, y_rel, pos, kin.heading_rad, live[cam])
+            for trig in near:
+                zone = _zone(trig, pos, direction)
+                if zone is trig.exit_zone:  # leaving, not arriving
+                    continue
+                edge = trig.edge
+                if not point_in_polygon(pos, edge.overlap):
+                    continue
+                y_rel = lateral_norm(pos, edge.frame)
+                buf = trig.entry_buffer
+                found = self._scan(buf, t, y_rel, pos, heading, live[cam])
                 if found is not None and (best is None or found[0] < best[0][0]):
-                    best = (found, edge, zone, buf, y_rel)
+                    best = (found, zone, buf, y_rel)
             if best is not None:
-                (_, entry, age, residual), edge, zone, buf, y_rel = best
+                (_, entry, age, residual), zone, buf, y_rel = best
                 buf.remove(entry)
                 rec.global_id = entry.global_id
                 out.append(
-                    HandoverEvent(
-                        EventKind.MATCHED, frame_index, t, cam, st.local_id, entry.global_id,
-                        edge.key, zone, y_rel, age, residual,
-                    )
+                    new(HandoverEvent, (
+                        _MATCHED, frame_index, t, cam, st.local_id, entry.global_id,
+                        buf.edge_key, zone, y_rel, age, residual,
+                    ))
                 )
             else:
                 rec.global_id = self._mint_gid()
                 out.append(
-                    HandoverEvent(
-                        EventKind.NEW_IDENTITY, frame_index, t, cam, st.local_id, rec.global_id
-                    )
+                    new(HandoverEvent, (
+                        _NEW_IDENTITY, frame_index, t, cam, st.local_id, rec.global_id,
+                        None, None, None, None, None,
+                    ))
                 )
             live[cam].add(rec.global_id)
 
@@ -551,20 +577,20 @@ class HandoverEngine:
         out += self.expire(t, frame_index)
 
         # one output row per observation
+        trajectories = self.trajectories
         for st, rec in ordered:
             gid = rec.global_id
-            traj = self.trajectories.get(gid)
+            traj = trajectories.get(gid)
             if traj is None:
-                traj = GlobalTrajectory(global_id=gid)
-                self.trajectories[gid] = traj
+                traj = trajectories[gid] = GlobalTrajectory(global_id=gid)
             speed, heading, status = rec.kin
             # the row carries the status as its CSV string; _value_ is read
             # directly because hashing or .value goes through Python-level enum code
             traj.states.append(
-                TrajRow(
+                new(TrajRow, (
                     gid, frame_index, st.camera_id, st.local_id, st.t, st.x_m, st.y_m,
                     speed, heading, None if status is None else status._value_,
-                )
+                ))
             )
 
         # forget tracks gone long enough that their id can never resurface

@@ -5,6 +5,12 @@ scale (meters per pixel), so it stays exact under the pixel<->metric
 round trip. Heading is only refreshed when the per-frame displacement is
 large enough to be direction, not jitter; below that the previous heading
 is held.
+
+``HandoverEngine.process_snapshot`` inlines ``estimate_speed``,
+``motion_status`` and ``estimate_heading`` with their default thresholds,
+float operation for float operation; a property test in
+``tests/test_handover.py`` holds the two to equal results, so a change to
+one of these estimators must be made there too.
 """
 
 from __future__ import annotations

@@ -289,10 +289,11 @@ def bench_scenario(
     seed: int,
     matcher: Optional[MatcherConfig] = None,
     out_dir: Optional[str | Path] = None,
+    max_lag: Optional[int] = None,
 ) -> dict:
     """Timed stitching run; the only artifact with wall-clock numbers."""
     sim = run_sim(cfg, seed)
-    stitch = stitch_updates(sim.topology, sim.updates, matcher, timing=True)
+    stitch = stitch_updates(sim.topology, sim.updates, matcher, max_lag, timing=True)
     bench = {
         "scenario": cfg.name,
         "seed": seed,

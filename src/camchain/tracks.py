@@ -38,8 +38,9 @@ class TrackState(NamedTuple):
 class TrajRow(NamedTuple):
     """One stitched observation: a global id plus the engine's kinematics.
 
-    The engine appends one per observation to ``GlobalTrajectory.states``;
-    ``trajectories.csv`` stores the same record, one row each.
+    The engine appends one per observation to ``GlobalTrajectory.states``,
+    built positionally with ``tuple.__new__``, so a check added here would
+    not run there; ``trajectories.csv`` stores the same record, one row each.
     """
 
     global_id: int

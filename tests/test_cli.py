@@ -126,6 +126,20 @@ class TestFullChain:
         rep = load_json(d / pl.BENCH_REPORT)
         assert rep["throughput"]["snapshots"] == 200
 
+    def test_bench_honours_max_lag(self, tmp_path, fixtures_dir):
+        d = tmp_path / "bench"
+        scenario = fixtures_dir / "scenario_freeflow.json"
+        assert run_cli(
+            "bench", "--scenario", str(scenario), "--duration", "10",
+            "--jitter", "5", "--max-lag", "0", "--seed", "5", "--out-dir", str(d),
+        ) == 0
+        rep = load_json(d / pl.BENCH_REPORT)
+        assert rep["barrier"]["dropped_late"] > 0
+        cfg = scenario_from_dict(load_json(scenario))
+        cfg = replace(cfg, duration_s=10.0, noise=replace(cfg.noise, sync_jitter_frames=5))
+        _, stitch, _ = pl.run_scenario(cfg, 5, max_lag=0)
+        assert rep["barrier"] == stitch.barrier_stats
+
 
 class TestExitCodes:
     def simulate_small(self, tmp_path, fixtures_dir):

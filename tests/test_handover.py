@@ -1,8 +1,12 @@
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from camchain import handover
 from camchain.errors import CausalityError, ConfigError, MalformedInputError
+from camchain.formats import load_json, scenario_from_dict
 from camchain.geometry import Point2, Polygon, Zone
 from camchain.handover import (
     BufferEntry,
@@ -11,9 +15,17 @@ from camchain.handover import (
     MatcherConfig,
     MatchStrategy,
 )
-from camchain.kinematics import Calibration
+from camchain.kinematics import (
+    DEFAULT_SPEED_WINDOW,
+    Calibration,
+    estimate_heading,
+    estimate_speed,
+    motion_status,
+)
+from camchain.pipeline import run_scenario
 from camchain.sync import Snapshot
 from camchain.topology import CameraNode, EdgeDef, TopologyGraph
+from camchain.tracks import TrackState
 from helpers import (
     FPS, LAM, chain_graph, drive, gapped_graph, rect, road, snap, ts, two_cam_graph,
 )
@@ -519,3 +531,80 @@ class TestNonRectangularTrigger:
         # the same birth inside the triangle takes the parked id
         out = eng.process_snapshot(snap(6, {2: [(1, 18.0, -1.0), (2, 14.0, -1.0)]}))
         assert [(e.kind, e.local_id, e.global_id) for e in out] == [(EventKind.MATCHED, 2, 1)]
+
+
+# -- the engine's inline kinematics against camchain.kinematics ---------------
+
+# pixel step per frame: a creep that can hold the heading or read as a stop,
+# or a drive
+_STEP_PX = st.one_of(st.floats(-0.4, 0.4), st.floats(-80.0, 80.0))
+# (frames since the previous observation, observations, x step, y step)
+_SEGMENTS = st.lists(
+    st.tuples(st.sampled_from((1, 1, 1, 2, 4)), st.integers(1, 14), _STEP_PX, _STEP_PX),
+    min_size=1, max_size=8,
+)
+
+
+def _reference_kinematics(cal, obs):
+    """(speed_kmh, heading_rad, status) per observation, from the public
+    estimators applied to the history the engine keeps."""
+    k = DEFAULT_SPEED_WINDOW
+    out, hist, last, heading, prev = [], [], None, None, None
+    for frame, px, m in obs:
+        if prev is not None and frame != prev + 1:
+            hist, last = [], None  # a gap restarts both windows and holds the heading
+        prev = frame
+        hist.append(px)
+        speed = estimate_speed(hist, cal, k) if len(hist) > k else None
+        if last is not None:
+            heading = estimate_heading(last, m, heading)
+        last = m
+        out.append((speed, heading, None if speed is None else motion_status(speed).value))
+    return out
+
+
+class TestInlineKinematics:
+    @given(
+        m_per_px=st.floats(0.005, 0.3), frame_dt=st.floats(0.01, 0.5), segments=_SEGMENTS
+    )
+    @example(
+        # 25 fps at 4 cm/px: a drive whose first k frames have no speed, a
+        # creep of 4 mm a frame that holds the heading and reads as stopped,
+        # then a gap and a drive the other way
+        m_per_px=0.04, frame_dt=0.04,
+        segments=[(1, 12, 30.0, 2.0), (1, 14, 0.1, 0.0), (3, 12, -25.0, 5.0)],
+    )
+    def test_rows_equal_the_reference_estimators_bit_for_bit(
+        self, m_per_px, frame_dt, segments
+    ):
+        cal = Calibration(m_per_px=m_per_px, frame_dt=frame_dt)
+        node = CameraNode(id=1, fov=rect(-1e5, 1e5, half=1e5), calibration=cal, frame=road())
+        eng = HandoverEngine(TopologyGraph(nodes=(node,), edges=()))
+        obs, frame, x, y = [], -1, 1000.0, 500.0
+        for gap, n, sx, sy in segments:
+            for i in range(n):
+                frame += gap if i == 0 else 1
+                x, y = x + sx, y + sy
+                obs.append((frame, (x, y), (x * m_per_px, y * m_per_px)))
+        for frame, (x_px, y_px), (x_m, y_m) in obs:
+            t = frame * frame_dt
+            track = TrackState(frame, 1, 1, t, x_px, y_px, x_m, y_m)
+            eng.process_snapshot(Snapshot(frame_index=frame, t=t, per_camera={1: (track,)}))
+        assert list(eng.trajectories) == [1]
+        got = [(r.speed_kmh, r.heading_rad, r.status) for r in eng.trajectories[1].states]
+        assert got == _reference_kinematics(cal, obs)
+
+    def test_every_observation_builds_one_checked_state(self, monkeypatch, fixtures_dir):
+        built = []
+        checked = handover.KinematicState
+
+        def spy(*args):
+            built.append(args)
+            return checked(*args)
+
+        monkeypatch.setattr(handover, "KinematicState", spy)
+        cfg = scenario_from_dict(load_json(fixtures_dir / "scenario_freeflow.json"))
+        sim, stitch, _ = run_scenario(cfg, 7)
+        observations = sum(len(u.tracks) for u in sim.updates)
+        assert observations > 0
+        assert len(built) == len(stitch.trajectory_rows(cfg.frame_rate)) == observations
