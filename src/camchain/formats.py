@@ -8,7 +8,10 @@ literal ``NA`` for absent values), so a write/read/write round trip is
 byte-identical. ``read_table`` rejects, with ``path:line``, any file that
 is not UTF-8, has a wrong header or field count, holds a cell its column
 cannot parse, a non-finite number or a value outside a closed vocabulary,
-or whose rows do not strictly increase in the table's key.
+or whose rows do not strictly increase in the table's key. Tables stream:
+``read_table`` yields rows as it reads, ``updates_from_rows`` yields the
+update grid as the rows pass, and ``write_table`` writes a bounded chunk
+of lines at a time.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from itertools import islice
-from operator import attrgetter, itemgetter
+from itertools import chain, islice, tee
+from operator import attrgetter, is_not, itemgetter, le
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, get_type_hints
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, get_type_hints
 
 from .errors import CamchainError, ConfigError, MalformedInputError, ParseError
 from .geometry import Point2, Polygon, RoadFrame, Zone
@@ -51,17 +54,20 @@ NA = "NA"
 # -- JSON ----------------------------------------------------------------------
 
 
-def _decode(path: str | Path, error: type[CamchainError]) -> str:
-    raw = Path(path).read_bytes()
+def _decode(
+    raw: bytes, path: str | Path, error: type[CamchainError], line: int = 1, at: int = 0
+) -> str:
+    """``raw`` as UTF-8 text; ``raw`` starts at byte ``at``, on line ``line``
+    (counted in newlines), of ``path``."""
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as e:
-        line = raw.count(b"\n", 0, e.start) + 1
-        raise error(f"{path}:{line}: not UTF-8 ({e.reason} at byte {e.start})") from None
+        line += raw.count(b"\n", 0, e.start)
+        raise error(f"{path}:{line}: not UTF-8 ({e.reason} at byte {at + e.start})") from None
 
 
 def load_json(path: str | Path):
-    text = _decode(path, ParseError)
+    text = _decode(Path(path).read_bytes(), path, ParseError)
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
@@ -362,6 +368,31 @@ _CODECS = {
 }
 
 
+def _na_formatter(fmts: list[str]) -> Callable[[tuple], str]:
+    """The line of a row whose columns may hold None, which is written as NA.
+
+    Each pattern of None cells gets its own template, built once, so that
+    every row is formatted by a single ``%``. In a template a None column
+    is ``NA%.0s``: the literal NA, then a conversion that prints nothing.
+    """
+    full = ",".join(fmts)
+    nones = (None,) * len(fmts)
+    templates: dict[bytes, str] = {}
+
+    def line(r: tuple) -> str:
+        if None not in r:
+            return full % r
+        present = bytes(map(is_not, r, nones))
+        template = templates.get(present)
+        if template is None:
+            template = templates[present] = ",".join(
+                f if p else NA + "%.0s" for f, p in zip(fmts, present)
+            )
+        return template % r
+
+    return line
+
+
 class Table:
     """One CSV file: a column per field of ``row``, each with its codec.
 
@@ -396,11 +427,16 @@ class Table:
             self.floats = lambda values: (values[floats[0]],)
         else:
             self.floats = itemgetter(*floats) if floats else None
-        self.template = ",".join(c.fmt for c in self.codecs)
-        self.optional = any(c.optional for c in self.codecs)
+        fmts = [c.fmt for c in self.codecs]
+        # the CSV line of a row given as a tuple of column values
+        if any(c.optional for c in self.codecs):
+            self.format = _na_formatter(fmts)
+        else:
+            self.format = ",".join(fmts).__mod__
         self.key = tuple(key)
+        self.key_columns = [self.header.index(name) for name in key]
         # the key of a row given as a tuple or list of column values
-        self.sort_key = itemgetter(*map(self.header.index, key)) if key else None
+        self.sort_key = itemgetter(*self.key_columns) if key else None
 
     def fault(self, cells: list[str]) -> str:
         """Why a split line is not a row of this table."""
@@ -417,45 +453,88 @@ class Table:
         return "unreadable row"
 
 
+_CHUNK_ROWS = 256  # write_table formats and writes this many lines at a time
+
+
 def write_table(path: str | Path, table: Table, rows: Iterable) -> int:
     """Write ``rows`` under the table's header; returns the row count.
 
     Rows are instances of the table's row type; a table whose row type is
-    a NamedTuple also takes plain tuples in column order.
+    a NamedTuple also takes plain tuples in column order. Lines are written
+    a bounded chunk at a time, never joined into one body.
     """
     if table.astuple is not None:
         rows = map(table.astuple, rows)
     if table.sort_key is not None:
-        rows = sorted(rows, key=table.sort_key)
-    template = table.template
-    if table.optional:
-        fmts = [c.fmt for c in table.codecs]
-        body = [
-            ",".join([NA if v is None else f % v for f, v in zip(fmts, r)])
-            if None in r else template % r
-            for r in rows
-        ]
-    else:
-        body = [template % r for r in rows]
-    Path(path).write_text("\n".join([",".join(table.header), *body]) + "\n", encoding="utf-8")
-    return len(body)
+        rows = list(rows)
+        # Rows already in key order cost one pass that holds one key at a
+        # time. Others are sorted stably on one key column at a time, last
+        # column first, which keys on values the rows hold: no key tuple
+        # per row is built.
+        keys, following = tee(map(table.sort_key, rows))
+        next(following, None)
+        if not all(map(le, keys, following)):
+            for i in reversed(table.key_columns):
+                rows.sort(key=itemgetter(i))
+    lines = map(table.format, rows)
+    count = 0
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(",".join(table.header) + "\n")
+        while chunk := list(islice(lines, _CHUNK_ROWS)):
+            f.write("\n".join(chunk) + "\n")
+            count += len(chunk)
+    return count
 
 
-def read_table(path: str | Path, table: Table) -> list:
-    """Parse every data line into a row; the first faulty line raises
-    MalformedInputError naming ``path:line``. Blank lines are skipped."""
-    lines = _decode(path, MalformedInputError).splitlines()
-    if not lines:
+_BLOCK_BYTES = 1 << 14  # read_table decodes about this much of a file at a time
+
+
+def _text_blocks(path: str | Path) -> Iterator[str]:
+    """A UTF-8 file's text in blocks that each end at a ``b"\\n"`` (or at
+    the end of the file), so that splitting each block with
+    ``str.splitlines`` gives the lines of the whole text. A UTF-8 fault is
+    raised once the text before its line has been yielded; it names the
+    line, counted in newlines, and the byte offset in the file.
+    """
+    with open(path, "rb") as f:
+        at = newlines = 0
+        while block := f.read(_BLOCK_BYTES) + f.readline():
+            try:
+                text = block.decode("utf-8")
+            except UnicodeDecodeError as e:
+                # the lines before the faulty one go first, so that a fault
+                # in one of them is reported; then _decode raises on the rest
+                start = block.rfind(b"\n", 0, e.start) + 1
+                yield block[:start].decode("utf-8")
+                line = newlines + block.count(b"\n", 0, start) + 1
+                _decode(block[start:], path, MalformedInputError, line, at + start)
+            yield text
+            newlines += block.count(b"\n")
+            at += len(block)
+
+
+def read_table(path: str | Path, table: Table) -> Iterator:
+    """Yield the rows of the file, each data line parsed and checked as it
+    is read; the first faulty line raises MalformedInputError naming
+    ``path:line``. Blank lines are skipped but counted, and lines are
+    numbered as ``str.splitlines`` splits the whole decoded file.
+
+    A consumer that finds a fault in the row just yielded can throw a
+    MalformedInputError into the generator; it comes back out prefixed
+    with that row's ``path:line``.
+    """
+    lines = chain.from_iterable(map(str.splitlines, _text_blocks(path)))
+    header = next(lines, None)
+    if header is None:
         raise MalformedInputError(f"{path}: empty file")
-    if lines[0].split(",") != table.header:
+    if header.split(",") != table.header:
         raise MalformedInputError(
-            f"{path}:1: bad header {lines[0]!r}, expected {','.join(table.header)!r}"
+            f"{path}:1: bad header {header!r}, expected {','.join(table.header)!r}"
         )
     parsers, floats, make, key_of = table.parsers, table.floats, table.make, table.sort_key
     width = len(parsers)
-    rows = []
     prev = None
-    for line_no, line in enumerate(islice(lines, 1, None), 2):
+    for line_no, line in enumerate(lines, 2):
         if not line:
             continue
         cells = line.split(",")
@@ -475,8 +554,10 @@ def read_table(path: str | Path, table: Table) -> list:
                     f"{path}:{line_no}: rows not sorted by ({', '.join(table.key)}) at {key}"
                 )
             prev = key
-        rows.append(make(values))
-    return rows
+        try:
+            yield make(values)
+        except MalformedInputError as e:
+            raise MalformedInputError(f"{path}:{line_no}: {e}") from None
 
 
 class EventRow(NamedTuple):
@@ -511,7 +592,7 @@ def write_observations(path: str | Path, updates: Iterable[StreamUpdate]) -> int
     return write_table(path, OBS_TABLE, (s for u in updates for s in u.tracks))
 
 
-def read_observations(path: str | Path) -> list[TrackState]:
+def read_observations(path: str | Path) -> Iterator[TrackState]:
     return read_table(path, OBS_TABLE)
 
 
@@ -523,40 +604,67 @@ def _row_error(r: TrackState, what: str) -> MalformedInputError:
 
 
 def updates_from_rows(
-    rows: Sequence[TrackState],
+    rows: Iterable[TrackState],
     camera_ids: Iterable[int],
     frame_count: int,
     frame_rate: float,
-) -> list[StreamUpdate]:
-    """Group the rows into the full per-camera update grid, empty frames included.
+) -> Iterator[StreamUpdate]:
+    """Yield the full per-camera update grid, empty cells included, in
+    (frame, camera) order, grouping the rows as they stream past.
 
-    Errors name the offending row by its (frame_index, camera_id, local_id).
+    The rows must come in (frame_index, camera_id) order, as
+    ``observations.csv`` holds them. Errors name the offending row by its
+    (frame_index, camera_id, local_id), and are thrown into ``rows`` when
+    it is a generator, so that a reader adds the row's ``path:line``.
     """
     cams = sorted(camera_ids)
-    known = set(cams)
+    slot = {cam: i for i, cam in enumerate(cams)}
+    n = len(cams)
     times = [round(f / frame_rate, 6) for f in range(frame_count)]
-    grouped: dict[tuple[int, int], list[TrackState]] = {}
+    rows = iter(rows)
+    throw = getattr(rows, "throw", None)
+
+    def fault(r: TrackState, what: str):
+        err = _row_error(r, what)
+        if throw is not None:
+            throw(err)
+        raise err
+
+    f = i = 0  # the cell being filled: frame f, camera cams[i]
+    group: list[TrackState] = []
     for r in rows:
-        f = r.frame_index
-        if not (0 <= f < frame_count):
-            raise _row_error(r, f"frame outside 0..{frame_count - 1}")
-        if r.camera_id not in known:
-            raise _row_error(r, "unknown camera")
-        if r.t != times[f]:
-            raise _row_error(r, f"t={r.t}, expected {times[f]} at {frame_rate} fps")
-        grouped.setdefault((f, r.camera_id), []).append(r)
-    # every empty cell shares the one ()
-    return [
-        StreamUpdate(cam, f, t, tuple(grouped.get((f, cam), ())))
-        for f, t in enumerate(times) for cam in cams
-    ]
+        rf = r.frame_index
+        if not (0 <= rf < frame_count):
+            fault(r, f"frame outside 0..{frame_count - 1}")
+        ri = slot.get(r.camera_id)
+        if ri is None:
+            fault(r, "unknown camera")
+        if r.t != times[rf]:
+            fault(r, f"t={r.t}, expected {times[rf]} at {frame_rate} fps")
+        if rf != f or ri != i:
+            if rf < f or (rf == f and ri < i):
+                fault(r, "not in (frame_index, camera_id) order")
+            yield StreamUpdate(cams[i], f, times[f], tuple(group))
+            group = []
+            while True:  # the cells before the row's own are empty
+                i += 1
+                if i == n:
+                    f, i = f + 1, 0
+                if f == rf and i == ri:
+                    break
+                yield StreamUpdate(cams[i], f, times[f], ())  # every empty cell shares the one ()
+        group.append(r)
+    if frame_count and n:
+        yield StreamUpdate(cams[i], f, times[f], tuple(group))
+        for c in range(f * n + i + 1, frame_count * n):
+            yield StreamUpdate(cams[c % n], c // n, times[c // n], ())
 
 
 def write_trajectories(path: str | Path, rows: Iterable[TrajRow]) -> int:
     return write_table(path, TRAJ_TABLE, rows)
 
 
-def read_trajectories(path: str | Path) -> list[TrajRow]:
+def read_trajectories(path: str | Path) -> Iterator[TrajRow]:
     return read_table(path, TRAJ_TABLE)
 
 
@@ -581,7 +689,7 @@ def write_events(path: str | Path, events: Iterable[HandoverEvent]) -> int:
     return write_table(path, EVENT_TABLE, map(event_to_row, events))
 
 
-def read_events(path: str | Path) -> list[EventRow]:
+def read_events(path: str | Path) -> Iterator[EventRow]:
     return read_table(path, EVENT_TABLE)
 
 
@@ -589,7 +697,7 @@ def write_truth_obs(path: str | Path, rows: Iterable[TruthObs]) -> int:
     return write_table(path, TRUTH_OBS_TABLE, rows)
 
 
-def read_truth_obs(path: str | Path) -> list[TruthObs]:
+def read_truth_obs(path: str | Path) -> Iterator[TruthObs]:
     return read_table(path, TRUTH_OBS_TABLE)
 
 
@@ -597,7 +705,7 @@ def write_truth_tracks(path: str | Path, rows: Iterable[TruthTrack]) -> int:
     return write_table(path, TRUTH_TRACKS_TABLE, rows)
 
 
-def read_truth_tracks(path: str | Path) -> list[TruthTrack]:
+def read_truth_tracks(path: str | Path) -> Iterator[TruthTrack]:
     return read_table(path, TRUTH_TRACKS_TABLE)
 
 
@@ -605,5 +713,5 @@ def write_truth_handovers(path: str | Path, rows: Iterable[TrueHandover]) -> int
     return write_table(path, TRUTH_HANDOVERS_TABLE, rows)
 
 
-def read_truth_handovers(path: str | Path) -> list[TrueHandover]:
+def read_truth_handovers(path: str | Path) -> Iterator[TrueHandover]:
     return read_table(path, TRUTH_HANDOVERS_TABLE)

@@ -37,7 +37,7 @@ from .formats import (
     write_truth_obs,
     write_truth_tracks,
 )
-from .errors import ConfigError, MalformedInputError
+from .errors import ConfigError
 from .handover import HandoverEngine, HandoverEvent, MatcherConfig
 from .metrics import (
     ObsKey,
@@ -230,11 +230,11 @@ def stitch_dir(
             raise ConfigError(
                 f"topology.cameras[{i}].frame_dt: {node.calibration.frame_dt} != 1 / {rate} fps"
             )
-    rows = read_observations(src / OBSERVATIONS)
-    try:
-        updates = updates_from_rows(rows, topology.camera_ids, meta["frame_count"], rate)
-    except MalformedInputError as e:
-        raise MalformedInputError(f"{src / OBSERVATIONS}: {e}") from None
+    # rows are read, gridded and stitched one at a time; nothing is written
+    # until the whole file has passed every check
+    updates = updates_from_rows(
+        read_observations(src / OBSERVATIONS), topology.camera_ids, meta["frame_count"], rate
+    )
     stitch = stitch_updates(topology, updates, matcher, max_lag)
     out.mkdir(parents=True, exist_ok=True)
     write_trajectories(out / TRAJECTORIES, stitch.trajectory_rows(rate))
@@ -247,12 +247,12 @@ def evaluate_dir(in_dir: str | Path, out_dir: Optional[str | Path] = None) -> di
     """Score trajectories.csv in a directory against its truth tables."""
     src = Path(in_dir)
     out = Path(out_dir) if out_dir is not None else src
-    truth_obs = read_truth_obs(src / TRUTH_OBS)
-    truth_handovers = read_truth_handovers(src / TRUTH_HANDOVERS)
-    traj_rows = read_trajectories(src / TRAJECTORIES)
+    truth_obs = list(read_truth_obs(src / TRUTH_OBS))
+    truth_handovers = list(read_truth_handovers(src / TRUTH_HANDOVERS))
+    # only the gid map, the minted ids and the event counts outlive the read
     gids: dict[ObsKey, int] = {}
     minted = set()
-    for r in traj_rows:
+    for r in read_trajectories(src / TRAJECTORIES):
         gids[(r.frame_index, r.camera_id, r.local_id)] = r.global_id
         minted.add(r.global_id)
     counts: dict[str, int] = {}

@@ -314,9 +314,32 @@ class TestExitCodes:
         assert run_cli("stitch", "--in-dir", str(d)) == 5
         err = capsys.readouterr().err
         frame, cam, local = cells[:3]
-        assert f"{pl.OBSERVATIONS}: " in err
+        assert f"{pl.OBSERVATIONS}:{len(lines)}: " in err
         assert f"frame_index={frame}, camera_id={cam}, local_id={local}" in err
         assert fault in err
+
+    @pytest.mark.parametrize(
+        "column,value",
+        [("x_m", "nan"), ("local_id", "1.5"), ("frame_index", "100000"), ("camera_id", "99")],
+        ids=["reader-number", "reader-integer", "grid-frame", "grid-camera"],
+    )
+    def test_a_stitch_fault_names_its_file_and_line_once(
+        self, tmp_path, fixtures_dir, capsys, column, value
+    ):
+        d = self.simulate_small(tmp_path, fixtures_dir)
+        lines = (d / pl.OBSERVATIONS).read_text().splitlines()
+        row = len(lines) - 1  # the last row, so the key order survives
+        lines = lines[:row] + [",".join(
+            value if name == column else cell
+            for name, cell in zip(lines[0].split(","), lines[row].split(","))
+        )]
+        (d / pl.OBSERVATIONS).write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedInputError) as ei:
+            pl.stitch_dir(d)
+        assert str(ei.value).startswith(f"{d / pl.OBSERVATIONS}:{len(lines)}: ")
+        assert str(ei.value).count(pl.OBSERVATIONS) == 1
+        assert run_cli("stitch", "--in-dir", str(d)) == 5
+        assert capsys.readouterr().err.count(pl.OBSERVATIONS) == 1
 
     @pytest.mark.parametrize("bad", list(BAD_SCENARIOS.values()), ids=list(BAD_SCENARIOS))
     def test_mistyped_scenario_scalars_are_4(self, tmp_path, bad):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import re
 from dataclasses import replace
 from typing import Callable, NamedTuple, Optional
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from camchain import formats
 from camchain import pipeline as pl
 from camchain.errors import ConfigError, MalformedInputError, ParseError
 from camchain.formats import (
@@ -249,13 +251,13 @@ class TestObservationsCsv:
 
     def test_round_trip_rebuilds_the_update_grid(self, tmp_path):
         sim, p = self.write_small(tmp_path)
-        rows = read_observations(p)
-        rebuilt = updates_from_rows(
+        rows = list(read_observations(p))
+        rebuilt = list(updates_from_rows(
             rows,
             camera_ids=[1, 2, 3],
             frame_count=sim.frame_count,
             frame_rate=sim.config.frame_rate,
-        )
+        ))
         assert len(rebuilt) == len(sim.updates)
         original = {(u.camera_id, u.frame_index): u.tracks for u in sim.updates}
         for u in rebuilt:
@@ -288,22 +290,38 @@ class TestObservationsCsv:
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(mutate(lines)) + "\n" if mutate(lines) else "")
         with pytest.raises(MalformedInputError, match=fragment):
-            read_observations(bad)
+            list(read_observations(bad))
 
     def test_grid_rebuild_validates_inputs(self, tmp_path):
         sim, p = self.write_small(tmp_path)
-        rows = read_observations(p)
+        rows = list(read_observations(p))
         with pytest.raises(MalformedInputError, match="frame"):
-            updates_from_rows(rows, [1, 2, 3], frame_count=5, frame_rate=10.0)
+            list(updates_from_rows(rows, [1, 2, 3], frame_count=5, frame_rate=10.0))
         with pytest.raises(MalformedInputError, match="camera"):
-            updates_from_rows(rows, [2, 3], frame_count=sim.frame_count, frame_rate=10.0)
+            list(updates_from_rows(rows, [2, 3], frame_count=sim.frame_count, frame_rate=10.0))
         with pytest.raises(MalformedInputError):
-            updates_from_rows(rows, [1, 2, 3], frame_count=sim.frame_count, frame_rate=25.0)
+            list(updates_from_rows(rows, [1, 2, 3], frame_count=sim.frame_count, frame_rate=25.0))
+
+    def test_grid_rejects_rows_out_of_cell_order(self, tmp_path):
+        sim, p = self.write_small(tmp_path)
+        rows = list(read_observations(p))
+        with pytest.raises(MalformedInputError, match=r"not in \(frame_index, camera_id\) order"):
+            list(updates_from_rows(
+                [rows[-1], *rows[:-1]], [1, 2, 3], sim.frame_count, sim.config.frame_rate
+            ))
+
+    def test_grid_without_rows_is_every_cell_empty(self):
+        grid = list(updates_from_rows([], [2, 1], 3, 10.0))
+        assert [(u.frame_index, u.camera_id, u.t, u.tracks) for u in grid] == [
+            (f, c, f / 10.0, ()) for f in range(3) for c in (1, 2)
+        ]
+        assert list(updates_from_rows([], [], 3, 10.0)) == []
+        assert list(updates_from_rows([], [1, 2], 0, 10.0)) == []
 
     def test_grid_hands_on_the_rows_it_was_given(self, tmp_path):
         sim, p = self.write_small(tmp_path)
-        rows = read_observations(p)
-        grid = updates_from_rows(rows, [1, 2, 3], sim.frame_count, sim.config.frame_rate)
+        rows = list(read_observations(p))
+        grid = list(updates_from_rows(rows, [1, 2, 3], sim.frame_count, sim.config.frame_rate))
         # the grid is in (frame, camera) order, as the file is
         tracks = [s for u in grid for s in u.tracks]
         assert len(tracks) == len(rows)
@@ -324,7 +342,7 @@ class TestTrajectoriesCsv:
         text = p.read_text()
         assert text.splitlines()[0] == ",".join(TRAJ_HEADER)
         assert ",NA,NA,NA" in text
-        assert read_trajectories(p) == rows
+        assert list(read_trajectories(p)) == rows
 
     def test_unknown_status_rejected(self, tmp_path):
         p = tmp_path / "traj.csv"
@@ -332,7 +350,7 @@ class TestTrajectoriesCsv:
         bad = tmp_path / "bad.csv"
         bad.write_text(p.read_text().replace("moving", "hovering"))
         with pytest.raises(MalformedInputError, match="status"):
-            read_trajectories(bad)
+            list(read_trajectories(bad))
 
 
 class TestEventsCsv:
@@ -346,7 +364,7 @@ class TestEventsCsv:
         events = self.engine_events()
         p = tmp_path / "events.csv"
         assert write_events(p, events) == len(events)
-        rows = read_events(p)
+        rows = list(read_events(p))
         assert [r.kind for r in rows] == [e.kind.value for e in events]
         kinds = {r.kind for r in rows}
         assert {"new_identity", "pushed", "matched"} <= kinds
@@ -364,11 +382,11 @@ class TestEventsCsv:
         bad_kind = tmp_path / "k.csv"
         bad_kind.write_text(text.replace("matched", "teleported"))
         with pytest.raises(MalformedInputError, match="kind"):
-            read_events(bad_kind)
+            list(read_events(bad_kind))
         bad_zone = tmp_path / "z.csv"
         bad_zone.write_text(text.replace("upper", "middle"))
         with pytest.raises(MalformedInputError, match="zone"):
-            read_events(bad_zone)
+            list(read_events(bad_zone))
 
     def test_header_is_stable(self):
         assert EVENT_HEADER[:3] == ["kind", "frame_index", "t"]
@@ -384,7 +402,7 @@ class TestTruthTables:
         assert write_truth_obs(p1, sim.truth_obs) == len(sim.truth_obs)
         assert write_truth_tracks(p2, sim.truth_tracks) == len(sim.truth_tracks)
         assert write_truth_handovers(p3, sim.truth_handovers) == len(sim.truth_handovers)
-        assert read_truth_obs(p1) == sorted(
+        assert list(read_truth_obs(p1)) == sorted(
             sim.truth_obs, key=lambda o: (o.frame_index, o.camera_id, o.local_id)
         )
         # the writer renders floats at six decimals
@@ -397,7 +415,7 @@ class TestTruthTables:
             )
             for t in sorted(sim.truth_tracks, key=lambda t: t.vehicle_id)
         ]
-        assert read_truth_tracks(p2) == want_tracks
+        assert list(read_truth_tracks(p2)) == want_tracks
         want_hops = [
             replace(h, t_exit=round(h.t_exit, 6), t_enter=round(h.t_enter, 6))
             for h in sim.truth_handovers
@@ -523,7 +541,7 @@ class TestEveryTable:
         bad = tmp_path / spec.file
         _write_lines(bad, mutate(lines, spec))
         with pytest.raises(MalformedInputError, match=fragment) as ei:
-            spec.read(bad)
+            list(spec.read(bad))
         where = f"{bad}:{line}:" if line is not None else f"{bad}:"
         assert str(ei.value).startswith(where), str(ei.value)
 
@@ -533,7 +551,7 @@ class TestEveryTable:
         bad = tmp_path / pl.TRAJECTORIES
         _write_lines(bad, [lines[0], lines[1], other, *lines[2:]])
         with pytest.raises(MalformedInputError, match=f"{bad}:3: rows not sorted"):
-            read_trajectories(bad)
+            list(read_trajectories(bad))
 
     @pytest.mark.parametrize(
         "nan_row,swap_at,line",
@@ -549,21 +567,30 @@ class TestEveryTable:
         bad = tmp_path / pl.OBSERVATIONS
         _write_lines(bad, lines)
         with pytest.raises(MalformedInputError, match=f"{bad}:{line}: "):
-            read_observations(bad)
+            list(read_observations(bad))
 
     def test_events_keep_engine_order(self, two_car_dir, tmp_path):
         lines = (two_car_dir / pl.EVENTS).read_text().splitlines()
         swapped = tmp_path / pl.EVENTS
         _write_lines(swapped, [lines[0], lines[2], lines[1], *lines[3:]])
-        rows = read_events(two_car_dir / pl.EVENTS)
-        assert read_events(swapped) == [rows[1], rows[0], *rows[2:]]
+        rows = list(read_events(two_car_dir / pl.EVENTS))
+        assert list(read_events(swapped)) == [rows[1], rows[0], *rows[2:]]
 
     @pytest.mark.parametrize("table", list(TABLES))
     def test_write_read_write_is_byte_identical(self, two_car_dir, tmp_path, table):
         spec = TABLES[table]
         again = tmp_path / spec.file
-        rows = spec.read(two_car_dir / spec.file)
+        rows = list(spec.read(two_car_dir / spec.file))
         assert write_table(again, spec.table, rows) == len(rows) >= 2
+        assert again.read_bytes() == (two_car_dir / spec.file).read_bytes()
+
+    @pytest.mark.parametrize("table", [t for t, spec in TABLES.items() if spec.table.key])
+    def test_rows_out_of_key_order_are_written_sorted(self, two_car_dir, tmp_path, table):
+        spec = TABLES[table]
+        rows = list(spec.read(two_car_dir / spec.file))
+        random.Random(5).shuffle(rows)
+        again = tmp_path / spec.file
+        assert write_table(again, spec.table, rows) == len(rows)
         assert again.read_bytes() == (two_car_dir / spec.file).read_bytes()
 
     def test_a_lone_float_column_is_checked_too(self, tmp_path):
@@ -574,10 +601,71 @@ class TestEveryTable:
         table = Table(Reading, key=("n",))
         path = tmp_path / "readings.csv"
         assert write_table(path, table, [Reading(2, 0.5), Reading(1, -3.0)]) == 2
-        assert read_table(path, table) == [Reading(1, -3.0), Reading(2, 0.5)]
+        assert list(read_table(path, table)) == [Reading(1, -3.0), Reading(2, 0.5)]
         _write_lines(path, ["n,x", "1,0.5", "2,nan"])
         with pytest.raises(MalformedInputError, match=f"{path}:3: bad number 'nan' in column x"):
-            read_table(path, table)
+            list(read_table(path, table))
+
+
+class TestLineSplitting:
+    """The streaming reader numbers lines as ``str.splitlines`` numbers the
+    whole decoded file, whatever the size of the blocks it decodes."""
+
+    @pytest.fixture(autouse=True, params=[1, 100, None], ids=["line", "100B", "default"])
+    def block_bytes(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(formats, "_BLOCK_BYTES", request.param)
+
+    def lines(self, two_car_dir):
+        return (two_car_dir / pl.OBSERVATIONS).read_text().splitlines()
+
+    def test_crlf_reads_as_lf(self, two_car_dir, tmp_path):
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes("\r\n".join(self.lines(two_car_dir)).encode() + b"\r\n")
+        assert list(read_observations(crlf)) == list(read_observations(two_car_dir / pl.OBSERVATIONS))
+
+    def test_a_line_separator_in_a_cell_splits_the_line(self, two_car_dir, tmp_path):
+        lines = self.lines(two_car_dir)
+        lines[1] += "\u2028"  # a line break after row 1: line 3 is blank
+        lines = _set_cell(lines, "x_m", "1.5\u20282.5", row=2)  # row 2 ends after 1.5
+        text = "\n".join(lines) + "\n"
+        bad = tmp_path / pl.OBSERVATIONS
+        bad.write_text(text, encoding="utf-8")
+        assert text.splitlines().index(lines[2].split("\u2028")[0]) + 1 == 4
+        with pytest.raises(MalformedInputError, match=f"{bad}:4: expected 8 fields, got 7"):
+            list(read_observations(bad))
+
+    def test_blank_lines_are_skipped_but_counted(self, two_car_dir, tmp_path):
+        lines = self.lines(two_car_dir)
+        spaced = tmp_path / "spaced.csv"
+        _write_lines(spaced, [lines[0], "", lines[1], "", "", *lines[2:], ""])
+        assert list(read_observations(spaced)) == list(read_observations(two_car_dir / pl.OBSERVATIONS))
+        _write_lines(spaced, [lines[0], "", "", _set_cell(lines, "x_m", "nan")[1], *lines[2:]])
+        with pytest.raises(MalformedInputError, match=f"{spaced}:4: bad number 'nan'"):
+            list(read_observations(spaced))
+
+    def test_a_utf8_fault_names_the_byte_offset_in_the_file(self, two_car_dir, tmp_path):
+        lines = _set_cell(self.lines(two_car_dir), "y_px", "\udcff", row=3)
+        bad = tmp_path / pl.OBSERVATIONS
+        _write_lines(bad, lines)
+        at = bad.read_bytes().index(b"\xff")
+        assert at > len(lines[0]) + len(lines[1]) + len(lines[2])
+        with pytest.raises(MalformedInputError) as ei:
+            list(read_observations(bad))
+        assert str(ei.value) == f"{bad}:4: not UTF-8 (invalid start byte at byte {at})"
+
+    @pytest.mark.parametrize("nan_row,utf8_row,line,fragment", [
+        (1, 3, 2, "bad number 'nan'"), (3, 1, 2, "not UTF-8"),
+    ], ids=["bad-cell-first", "utf8-first"])
+    def test_the_first_faulty_line_wins_over_a_utf8_fault(
+        self, two_car_dir, tmp_path, nan_row, utf8_row, line, fragment
+    ):
+        lines = _set_cell(self.lines(two_car_dir), "x_m", "nan", row=nan_row)
+        lines = _set_cell(lines, "y_px", "\udcff", row=utf8_row)
+        bad = tmp_path / pl.OBSERVATIONS
+        _write_lines(bad, lines)
+        with pytest.raises(MalformedInputError, match=f"{bad}:{line}: {fragment}"):
+            list(read_observations(bad))
 
 
 @pytest.fixture(scope="module")
@@ -610,7 +698,7 @@ class TestReaderFuzz:
         path = fuzz_dir / spec.file
         _write_lines(path, _set_cell(lines, column, data.draw(CELLS, label="cell"), row))
         try:
-            rows = spec.read(path)
+            rows = list(spec.read(path))
         except MalformedInputError:
             return
         for r in rows:

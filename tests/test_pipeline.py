@@ -1,14 +1,16 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import camchain
 from camchain import pipeline as pl
-from camchain.formats import load_json
+from camchain.formats import load_json, read_trajectories, read_truth_handovers, read_truth_obs
 from camchain.handover import MatcherConfig, MatchStrategy
 from camchain.simulator import ScenarioConfig, run_sim
 
@@ -100,6 +102,66 @@ class TestDirPipeline:
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             pl.stitch_dir(tmp_path / "nope")
+
+
+def _traced(call):
+    """What ``call()`` returns, the traced memory still allocated when it
+    returns, and the peak traced memory while it ran."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held, peak
+
+
+class TestBoundedMemory:
+    """The file path streams its CSV files: beyond what a call keeps, its
+    peak memory is a fraction of the bytes it reads."""
+
+    FRACTION = 0.75  # stitch_dir reaches about 0.53 here; whole-file reads reached 3 to 8
+
+    @pytest.fixture(scope="class")
+    def stitched(self, tmp_path_factory):
+        cfg = ScenarioConfig(
+            name="memory", n_cameras=10, lanes_per_dir=1,
+            flow_east_vpm=40.0, flow_west_vpm=40.0, duration_s=30.0,
+        )
+        d = tmp_path_factory.mktemp("memory")
+        pl.simulate_to_dir(cfg, 3, d)
+        pl.stitch_dir(d)
+        return d
+
+    def test_stitch_dir_peak_beyond_its_result(self, stitched):
+        _, held, peak = _traced(lambda: pl.stitch_dir(stitched))
+        read = (stitched / pl.OBSERVATIONS).stat().st_size
+        assert read > 200_000
+        assert peak - held < self.FRACTION * read, (peak - held, read)
+
+    def test_evaluate_dir_peak_beyond_what_scoring_needs(self, stitched):
+        d = stitched
+        read = sum(
+            (d / name).stat().st_size
+            for name in (pl.TRAJECTORIES, pl.EVENTS, pl.TRUTH_OBS, pl.TRUTH_HANDOVERS)
+        )
+        _, _, peak = _traced(lambda: pl.evaluate_dir(d, d / "again"))
+
+        def score_held_inputs():
+            # scoring needs the truth rows and the gid map, however they are read
+            truth_obs = list(read_truth_obs(d / pl.TRUTH_OBS))
+            handovers = list(read_truth_handovers(d / pl.TRUTH_HANDOVERS))
+            gids = {
+                (r.frame_index, r.camera_id, r.local_id): r.global_id
+                for r in read_trajectories(d / pl.TRAJECTORIES)
+            }
+            tracemalloc.reset_peak()  # what the reads needed on the way is not counted
+            pl.evaluate_stitch(handovers, truth_obs, gids, {}, 0)
+            return tracemalloc.get_traced_memory()[1]
+
+        needed, _, _ = _traced(score_held_inputs)
+        assert peak - needed < self.FRACTION * read, (peak, needed, read)
 
 
 class TestStitchUpdates:
