@@ -86,9 +86,6 @@ def _add_matcher_flags(p: argparse.ArgumentParser) -> None:
         "--eps-dist", type=float, metavar="M", help="optional position gate in meters"
     )
     p.add_argument(
-        "--gamma-dir", type=float, metavar="C", help="optional heading cosine gate"
-    )
-    p.add_argument(
         "--max-lag", type=int, metavar="FRAMES",
         help="release frames without cameras lagging more than this",
     )
@@ -132,8 +129,6 @@ def _build_matcher(args, base: MatcherConfig | None = None) -> MatcherConfig:
         kw["eps_time"] = args.ttl
     if args.eps_dist is not None:
         kw["eps_dist"] = args.eps_dist
-    if args.gamma_dir is not None:
-        kw["gamma_dir"] = args.gamma_dir
     if base is not None:
         return dataclasses.replace(base, **kw) if kw else base
     return MatcherConfig(**kw)

@@ -155,39 +155,21 @@ def _frame_to_list(fr: RoadFrame) -> dict:
     }
 
 
-_MATCHER_KEYS = ["dt_window", "eps_lat", "eps_time", "eps_dist", "gamma_dir", "strategy"]
-
-
 def matcher_to_dict(m: MatcherConfig) -> dict:
-    return {
-        "dt_window": m.dt_window,
-        "eps_lat": m.eps_lat,
-        "eps_time": m.eps_time,
-        "eps_dist": m.eps_dist,
-        "gamma_dir": m.gamma_dir,
-        "strategy": m.strategy.value,
-    }
+    return _dataclass_to_dict(m)
 
 
 def matcher_from_dict(obj, ctx: str = "matcher") -> MatcherConfig:
-    d = _expect_dict(obj, ctx)
-    _check_keys(d, [], _MATCHER_KEYS, ctx)
-    kwargs = {}
-    for key in ("dt_window", "eps_lat", "eps_time"):
-        if key in d:
-            kwargs[key] = _num(d[key], f"{ctx}.{key}")
-    for key in ("eps_dist", "gamma_dir"):  # null = gate disabled
-        if key in d and d[key] is not None:
-            kwargs[key] = _num(d[key], f"{ctx}.{key}")
-    if "strategy" in d:
+    kw = dict(_fields_from_dict(obj, MatcherConfig, ctx))
+    if "strategy" in kw:
         try:
-            kwargs["strategy"] = MatchStrategy(d["strategy"])
+            kw["strategy"] = MatchStrategy(kw["strategy"])
         except ValueError:
             names = ", ".join(s.value for s in MatchStrategy)
             raise ConfigError(
-                f"{ctx}.strategy: {d['strategy']!r} is not one of {names}"
+                f"{ctx}.strategy: {kw['strategy']!r} is not one of {names}"
             ) from None
-    return MatcherConfig(**kwargs)
+    return MatcherConfig(**kw)
 
 
 def topology_to_dict(topo: TopologyGraph, matcher: Optional[MatcherConfig] = None) -> dict:
@@ -291,9 +273,13 @@ def _fields_from_dict(obj, cls: type, ctx: str) -> dict:
     return d
 
 
+def _dataclass_to_dict(obj) -> dict:
+    # through JSON, so that tuples come back as lists and enums as their values
+    return json.loads(json.dumps(dataclasses.asdict(obj), default=attrgetter("value")))
+
+
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    # through JSON, so that tuples come back as lists and the regime as its value
-    return json.loads(json.dumps(dataclasses.asdict(cfg), default=attrgetter("value")))
+    return _dataclass_to_dict(cfg)
 
 
 def scenario_from_dict(obj) -> ScenarioConfig:

@@ -3,7 +3,7 @@
 Every topology edge owns two FIFO buffers, one per traffic zone. While a
 globally-identified track sits inside an edge's trigger region and is headed
 off its camera across that edge, its metadata (normalized lateral offset,
-exit time, heading) is pushed to the matching buffer; a re-push for the same
+exit time, position) is pushed to the matching buffer; a re-push for the same
 global id replaces the earlier entry. When a camera births a track inside a
 trigger region, the buffers feeding that camera are queried: the winning
 entry is consumed and its global id inherited, otherwise a fresh id is
@@ -18,8 +18,8 @@ Matching strategies:
   lateral agreement.
 
 Both honor the same recency window (``age < dt_window``), the optional
-position/direction gates, and never hand an id to a camera that already
-carries it on a live track.
+position gate, and never hand an id to a camera that already carries it
+on a live track.
 """
 
 from __future__ import annotations
@@ -64,14 +64,13 @@ class MatcherConfig:
 
     ``dt_window`` bounds how stale an entry may be and still match;
     ``eps_time`` is the buffer timeout and can never undercut the window.
-    ``eps_dist`` (meters) and ``gamma_dir`` (cosine floor) are off until set.
+    ``eps_dist`` (meters) is the optional position gate, off until set.
     """
 
     dt_window: float = 4.0
     eps_lat: float = 0.12
     eps_time: float = 30.0
     eps_dist: Optional[float] = None
-    gamma_dir: Optional[float] = None
     strategy: MatchStrategy = MatchStrategy.LATERAL_AWARE
 
     def __post_init__(self) -> None:
@@ -87,8 +86,6 @@ class MatcherConfig:
             math.isfinite(self.eps_dist) and self.eps_dist > 0.0
         ):
             raise ConfigError(f"eps_dist must be > 0 when set, got {self.eps_dist}")
-        if self.gamma_dir is not None and not (-1.0 <= self.gamma_dir <= 1.0):
-            raise ConfigError(f"gamma_dir must lie in [-1, 1], got {self.gamma_dir}")
 
 
 class BufferEntry(NamedTuple):
@@ -105,7 +102,6 @@ class BufferEntry(NamedTuple):
     t_exit: float
     y_rel: float
     seq: int
-    heading: Optional[float] = None
     pos: Optional[Point2] = None
 
 
@@ -232,7 +228,6 @@ class _TrackRecord:
     last_t: float = 0.0
     last_frame: Optional[int] = None
     last_pos: Optional[tuple[float, float]] = None  # (x_m, y_m)
-    heading: Optional[float] = None
     kin: Optional[KinematicState] = None
 
 
@@ -317,7 +312,6 @@ class HandoverEngine:
         t: float,
         y_rel: float,
         pos: Optional[Point2],
-        heading: Optional[float],
         exclude_gids: Container[int],
     ) -> Optional[tuple[tuple, BufferEntry, float, float]]:
         """Best eligible entry of one buffer, or None.
@@ -339,11 +333,6 @@ class HandoverEngine:
                     continue
                 if math.hypot(pos.x - e.pos.x, pos.y - e.pos.y) >= m.eps_dist:
                     continue
-            if m.gamma_dir is not None:
-                if heading is None or e.heading is None:
-                    continue
-                if math.cos(heading - e.heading) <= m.gamma_dir:
-                    continue
             residual = abs(y_rel - e.y_rel)
             if m.strategy is MatchStrategy.LATERAL_AWARE:
                 if residual >= m.eps_lat:
@@ -362,12 +351,11 @@ class HandoverEngine:
         t: float,
         y_rel: float,
         pos: Optional[Point2] = None,
-        heading: Optional[float] = None,
         exclude_gids: Iterable[int] = (),
     ) -> Optional[BufferEntry]:
         """Consume and return the best parked identity for one buffer."""
         buf = self.buffer(edge_key, zone)
-        found = self._scan(buf, t, y_rel, pos, heading, set(exclude_gids))
+        found = self._scan(buf, t, y_rel, pos, set(exclude_gids))
         if found is None:
             return None
         buf.remove(found[1])
@@ -468,9 +456,12 @@ class HandoverEngine:
                 rec = records.pop(key, None)
                 if rec is None:
                     rec = _TrackRecord(px_hist=deque(maxlen=k + 1))
-                elif frame_index != rec.last_frame + 1:
-                    rec.px_hist.clear()  # a gap breaks the uniform-step speed window
-                    rec.last_pos = None
+                    heading = None
+                else:
+                    heading = rec.kin[1]  # held until a step is long enough
+                    if frame_index != rec.last_frame + 1:
+                        rec.px_hist.clear()  # a gap breaks the uniform-step speed window
+                        rec.last_pos = None
                 records[key] = rec
                 hist = rec.px_hist
                 hist.append((x_px, y_px))
@@ -480,7 +471,6 @@ class HandoverEngine:
                     status = _STOPPED if speed < DEFAULT_STOP_SPEED_KMH else _MOVING
                 else:
                     speed = status = None
-                heading = rec.heading
                 last = rec.last_pos
                 if last is not None:
                     dx = x - last[0]
@@ -492,7 +482,6 @@ class HandoverEngine:
                             w += _TWO_PI
                         heading = w - math.pi
                 rec.kin = KinematicState(speed, heading, status)
-                rec.heading = heading
                 rec.last_pos = (x, y)
                 rec.last_t = t
                 rec.last_frame = frame_index
@@ -527,7 +516,7 @@ class HandoverEngine:
                 y_rel = lateral_norm(pos, edge.frame)
                 buf = trig.exit_buffer
                 seq += 1
-                buf.push(new(BufferEntry, (gid, cam, lid, t, y_rel, seq, heading, pos)))
+                buf.push(new(BufferEntry, (gid, cam, lid, t, y_rel, seq, pos)))
                 out.append(
                     new(HandoverEvent, (
                         _PUSHED, frame_index, t, cam, lid, gid, buf.edge_key, zone, y_rel,
@@ -550,7 +539,7 @@ class HandoverEngine:
                     continue
                 y_rel = lateral_norm(pos, edge.frame)
                 buf = trig.entry_buffer
-                found = self._scan(buf, t, y_rel, pos, heading, live[cam])
+                found = self._scan(buf, t, y_rel, pos, live[cam])
                 if found is not None and (best is None or found[0] < best[0][0]):
                     best = (found, zone, buf, y_rel)
             if best is not None:

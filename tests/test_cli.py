@@ -63,6 +63,11 @@ class TestHelpAndUsage:
             run_cli("run", "--seed", "1", "--out-dir", "x", "--strategy", "psychic")
         assert ei.value.code == 2
 
+    def test_direction_gate_flag_is_gone(self):
+        with pytest.raises(SystemExit) as ei:
+            run_cli("run", "--seed", "1", "--out-dir", "x", "--gamma-dir", "0.5")
+        assert ei.value.code == 2
+
 
 class TestFullChain:
     def test_simulate_stitch_evaluate(self, tmp_path, fixtures_dir, capsys):
@@ -177,6 +182,15 @@ class TestExitCodes:
         ) == 4
         err = capsys.readouterr().err
         assert err.count("error:") == 3
+
+    def test_removed_direction_gate_key_is_4(self, tmp_path, fixtures_dir, capsys):
+        d = self.simulate_small(tmp_path, fixtures_dir)
+        topo = load_json(d / pl.TOPOLOGY)
+        topo["matcher"] = {"eps_dist": None, "gamma_dir": None}  # as earlier versions wrote
+        (d / pl.TOPOLOGY).write_text(json.dumps(topo))
+        assert run_cli("stitch", "--in-dir", str(d)) == 4
+        err = capsys.readouterr().err
+        assert "topology.matcher" in err and "gamma_dir" in err
 
     def test_geometry_errors_are_4(self, tmp_path, fixtures_dir):
         d = self.simulate_small(tmp_path, fixtures_dir)

@@ -135,7 +135,7 @@ class TestMatcherSection:
     def test_round_trip_preserves_disabled_gates(self):
         m = MatcherConfig()
         d = matcher_to_dict(m)
-        assert d["eps_dist"] is None and d["gamma_dir"] is None
+        assert d["eps_dist"] is None
         assert matcher_from_dict(d) == m
 
     def test_round_trip_with_gates_enabled(self):
@@ -145,7 +145,6 @@ class TestMatcherSection:
             eps_lat=0.2,
             eps_time=40.0,
             eps_dist=6.0,
-            gamma_dir=0.7,
         )
         assert matcher_from_dict(matcher_to_dict(m)) == m
 
@@ -161,6 +160,11 @@ class TestMatcherSection:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             matcher_from_dict({"dt_windw": 3.0})
+
+    @pytest.mark.parametrize("value", [None, 0.5])
+    def test_removed_direction_gate_key_rejected(self, value):
+        with pytest.raises(ConfigError, match="unknown key"):
+            matcher_from_dict({"gamma_dir": value})
 
     def test_semantic_errors_surface_from_files(self, tmp_path):
         p = tmp_path / "topo.json"

@@ -52,7 +52,7 @@ class TestMatcherConfig:
         assert m.dt_window == 4.0
         assert m.eps_lat == 0.12
         assert m.eps_time == 30.0
-        assert m.eps_dist is None and m.gamma_dir is None
+        assert m.eps_dist is None
         assert m.strategy is MatchStrategy.LATERAL_AWARE
 
     def test_timeout_cannot_undercut_window(self):
@@ -68,8 +68,6 @@ class TestMatcherConfig:
             MatcherConfig(eps_lat=0.0)
         with pytest.raises(ConfigError):
             MatcherConfig(eps_dist=-1.0)
-        with pytest.raises(ConfigError):
-            MatcherConfig(gamma_dir=1.5)
 
 
 class TestBufferQueries:
@@ -135,7 +133,7 @@ class TestOptionalGates:
     def entry(self, **kw):
         d = dict(
             global_id=4, camera_id=1, local_id=1, t_exit=10.0, y_rel=0.5, seq=1,
-            heading=0.0, pos=Point2(15.0, -2.0),
+            pos=Point2(15.0, -2.0),
         )
         d.update(kw)
         return BufferEntry(**d)
@@ -152,19 +150,6 @@ class TestOptionalGates:
         eng = make_engine(eps_dist=5.0)
         eng.buffer((1, 2), Zone.UPPER).push(self.entry(pos=None))
         assert eng.query_match((1, 2), Zone.UPPER, t=10.5, y_rel=0.5, pos=Point2(15, -2)) is None
-
-    def test_direction_gate(self):
-        eng = make_engine(gamma_dir=0.5)
-        eng.buffer((1, 2), Zone.UPPER).push(self.entry())
-        q = dict(t=10.5, y_rel=0.5)
-        assert eng.query_match((1, 2), Zone.UPPER, heading=None, **q) is None
-        assert eng.query_match((1, 2), Zone.UPPER, heading=math.pi, **q) is None
-        assert eng.query_match((1, 2), Zone.UPPER, heading=0.1, **q).global_id == 4
-
-    def test_direction_gate_fails_closed_without_stored_heading(self):
-        eng = make_engine(gamma_dir=0.5)
-        eng.buffer((1, 2), Zone.UPPER).push(self.entry(heading=None))
-        assert eng.query_match((1, 2), Zone.UPPER, t=10.5, y_rel=0.5, heading=0.0) is None
 
 
 class TestTimeout:

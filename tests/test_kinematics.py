@@ -202,7 +202,7 @@ class TestValidation:
 @pytest.mark.parametrize(
     "record",
     [
-        BufferEntry(7, 1, 3, 2.0, 0.5, 1, 0.1, Point2(15.0, -2.0)),
+        BufferEntry(7, 1, 3, 2.0, 0.5, 1, Point2(15.0, -2.0)),
         HandoverEvent(EventKind.PUSHED, 20, 2.0, 1, 3, 7, (1, 2), Zone.UPPER, 0.5),
         KinematicState(12.0, 0.5, MotionStatus.MOVING),
     ],
