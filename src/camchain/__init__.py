@@ -69,6 +69,7 @@ from .pipeline import (
     run_to_dir,
     simulate_to_dir,
     stitch_dir,
+    stitch_observations,
     stitch_updates,
 )
 from .simulator import (
@@ -156,6 +157,7 @@ __all__ = [
     "scenario_to_dict",
     "simulate_to_dir",
     "stitch_dir",
+    "stitch_observations",
     "stitch_updates",
     "summarize_throughput",
     "to_road_frame",

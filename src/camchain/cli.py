@@ -36,7 +36,7 @@ from .pipeline import (
     evaluate_dir,
     run_to_dir,
     simulate_to_dir,
-    stitch_dir,
+    stitch_observations,
 )
 from .simulator import NoiseConfig, Regime, ScenarioConfig
 
@@ -149,13 +149,13 @@ def _cmd_stitch(args) -> int:
     topo_path = args.topology if args.topology is not None else (
         Path(args.in_dir) / "topology.json"
     )
-    _, file_matcher = parse_topology(topo_path)
-    stitch = stitch_dir(
+    topology, file_matcher = parse_topology(topo_path)
+    stitch = stitch_observations(
         args.in_dir,
+        topology,
+        _build_matcher(args, file_matcher),
         out_dir=args.out_dir,
-        matcher=_build_matcher(args, file_matcher),
         max_lag=args.max_lag,
-        topology_path=args.topology,
     )
     out = args.out_dir if args.out_dir else args.in_dir
     print(

@@ -9,9 +9,9 @@ byte-identical. ``read_table`` rejects, with ``path:line``, any file that
 is not UTF-8, has a wrong header or field count, holds a cell its column
 cannot parse, a non-finite number or a value outside a closed vocabulary,
 or whose rows do not strictly increase in the table's key. Tables stream:
-``read_table`` yields rows as it reads, ``updates_from_rows`` yields the
-update grid as the rows pass, and ``write_table`` writes a bounded chunk
-of lines at a time.
+``read_table`` yields rows as it reads, ``frames_from_rows`` yields each
+whole frame, every camera's rows of it, once its rows have passed, and
+``write_table`` writes a bounded chunk of lines at a time.
 """
 
 from __future__ import annotations
@@ -200,10 +200,18 @@ def topology_to_dict(topo: TopologyGraph, matcher: Optional[MatcherConfig] = Non
 
 
 def topology_from_dict(obj) -> TopologyGraph:
+    return _topology_and_matcher(obj)[0]
+
+
+def _topology_and_matcher(obj) -> tuple[TopologyGraph, MatcherConfig]:
+    """The graph and the matcher section (defaults when absent) of a
+    topology object; the matcher is checked whichever of them is wanted."""
     d = _expect_dict(obj, "topology")
     _check_keys(d, ["cameras", "edges"], ["matcher"], "topology")
-    if "matcher" in d:  # validated here so every entry point rejects bad files
-        matcher_from_dict(d["matcher"], "topology.matcher")
+    matcher = (
+        matcher_from_dict(d["matcher"], "topology.matcher") if "matcher" in d
+        else MatcherConfig()
+    )
     if not isinstance(d["cameras"], list) or not isinstance(d["edges"], list):
         raise ConfigError("topology: 'cameras' and 'edges' must be lists")
     nodes = []
@@ -235,16 +243,12 @@ def topology_from_dict(obj) -> TopologyGraph:
                 frame=_frame(ed["frame"], f"{ctx}.frame"),
             )
         )
-    return TopologyGraph(nodes=tuple(nodes), edges=tuple(edges))
+    return TopologyGraph(nodes=tuple(nodes), edges=tuple(edges)), matcher
 
 
 def parse_topology(path: str | Path) -> tuple[TopologyGraph, MatcherConfig]:
     """Load a topology file; a missing matcher section means defaults."""
-    d = _expect_dict(load_json(path), "topology")
-    graph = topology_from_dict(d)
-    if "matcher" in d:
-        return graph, matcher_from_dict(d["matcher"], "topology.matcher")
-    return graph, MatcherConfig()
+    return _topology_and_matcher(load_json(path))
 
 
 # checks of a declared scalar type; they return the value converted
@@ -589,23 +593,24 @@ def _row_error(r: TrackState, what: str) -> MalformedInputError:
     )
 
 
-def updates_from_rows(
+def frames_from_rows(
     rows: Iterable[TrackState],
     camera_ids: Iterable[int],
     frame_count: int,
     frame_rate: float,
-) -> Iterator[StreamUpdate]:
-    """Yield the full per-camera update grid, empty cells included, in
-    (frame, camera) order, grouping the rows as they stream past.
+) -> Iterator[tuple[int, float, dict[int, tuple[TrackState, ...]]]]:
+    """Yield ``(frame_index, t, per_camera)`` for every frame, empty ones
+    included, grouping the rows as they stream past.
 
-    The rows must come in (frame_index, camera_id) order, as
-    ``observations.csv`` holds them. Errors name the offending row by its
-    (frame_index, camera_id, local_id), and are thrown into ``rows`` when
-    it is a generator, so that a reader adds the row's ``path:line``.
+    ``per_camera`` maps every camera, in ascending order, to its rows of
+    the frame; the cameras without any share the one ``()``. The rows must
+    come in (frame_index, camera_id) order, as ``observations.csv`` holds
+    them. Errors name the offending row by its (frame_index, camera_id,
+    local_id), and are thrown into ``rows`` when it is a generator, so
+    that a reader adds the row's ``path:line``.
     """
     cams = sorted(camera_ids)
-    slot = {cam: i for i, cam in enumerate(cams)}
-    n = len(cams)
+    blank = dict.fromkeys(cams, ())  # every camera, none with a row yet
     times = [round(f / frame_rate, 6) for f in range(frame_count)]
     rows = iter(rows)
     throw = getattr(rows, "throw", None)
@@ -616,34 +621,35 @@ def updates_from_rows(
             throw(err)
         raise err
 
-    f = i = 0  # the cell being filled: frame f, camera cams[i]
+    f, cam = 0, None  # the frame being filled, and the camera of ``group``
+    cells = blank.copy()
     group: list[TrackState] = []
     for r in rows:
-        rf = r.frame_index
+        rf, rc = r.frame_index, r.camera_id
         if not (0 <= rf < frame_count):
             fault(r, f"frame outside 0..{frame_count - 1}")
-        ri = slot.get(r.camera_id)
-        if ri is None:
+        if rc not in blank:
             fault(r, "unknown camera")
         if r.t != times[rf]:
             fault(r, f"t={r.t}, expected {times[rf]} at {frame_rate} fps")
-        if rf != f or ri != i:
-            if rf < f or (rf == f and ri < i):
+        if rc != cam or rf != f:
+            if rf < f or (rf == f and cam is not None and rc < cam):
                 fault(r, "not in (frame_index, camera_id) order")
-            yield StreamUpdate(cams[i], f, times[f], tuple(group))
-            group = []
-            while True:  # the cells before the row's own are empty
-                i += 1
-                if i == n:
-                    f, i = f + 1, 0
-                if f == rf and i == ri:
-                    break
-                yield StreamUpdate(cams[i], f, times[f], ())  # every empty cell shares the one ()
+            if cam is not None:
+                cells[cam] = tuple(group)
+                group = []
+            while f < rf:  # this frame is complete, and any before the row's are empty
+                yield f, times[f], cells
+                cells = blank.copy()
+                f += 1
+            cam = rc
         group.append(r)
-    if frame_count and n:
-        yield StreamUpdate(cams[i], f, times[f], tuple(group))
-        for c in range(f * n + i + 1, frame_count * n):
-            yield StreamUpdate(cams[c % n], c // n, times[c // n], ())
+    if cam is not None:
+        cells[cam] = tuple(group)
+    while f < frame_count:
+        yield f, times[f], cells
+        cells = blank.copy()
+        f += 1
 
 
 def write_trajectories(path: str | Path, rows: Iterable[TrajRow]) -> int:
@@ -654,25 +660,19 @@ def read_trajectories(path: str | Path) -> Iterator[TrajRow]:
     return read_table(path, TRAJ_TABLE)
 
 
-def event_to_row(ev: HandoverEvent) -> EventRow:
-    return EventRow(
-        kind=ev.kind.value,
-        frame_index=ev.frame_index,
-        t=ev.t,
-        camera_id=ev.camera_id,
-        local_id=ev.local_id,
-        global_id=ev.global_id,
-        edge_up=ev.edge[0] if ev.edge else None,
-        edge_down=ev.edge[1] if ev.edge else None,
-        zone=ev.zone.value if ev.zone else None,
-        y_rel=ev.y_rel,
-        age=ev.age,
-        residual=ev.residual,
+def _event_cells(ev: HandoverEvent) -> tuple:
+    """An event's ``EventRow`` as a plain tuple in column order."""
+    kind, frame_index, t, camera_id, local_id, global_id, edge, zone, y_rel, age, residual = ev
+    up, down = (None, None) if edge is None else edge
+    # _value_ skips the Python-level Enum.value property
+    return (
+        kind._value_, frame_index, t, camera_id, local_id, global_id, up, down,
+        None if zone is None else zone._value_, y_rel, age, residual,
     )
 
 
 def write_events(path: str | Path, events: Iterable[HandoverEvent]) -> int:
-    return write_table(path, EVENT_TABLE, map(event_to_row, events))
+    return write_table(path, EVENT_TABLE, map(_event_cells, events))
 
 
 def read_events(path: str | Path) -> Iterator[EventRow]:

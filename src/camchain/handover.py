@@ -129,16 +129,33 @@ class HandoverEvent(NamedTuple):
 _PUSHED, _MATCHED, _NEW_IDENTITY = EventKind.PUSHED, EventKind.MATCHED, EventKind.NEW_IDENTITY
 
 
+@dataclass(slots=True)
+class BufferLedger:
+    """What a set of buffers holds together, kept up by their own methods.
+
+    ``entries`` counts their entries. ``t_floor`` is at or below every
+    entry's ``t_exit``: a push lowers it, and only a caller that has seen
+    every buffer's head may raise it.
+    """
+
+    entries: int = 0
+    t_floor: float = math.inf
+
+
 class DirectionalBuffer:
     """FIFO of parked identities for one (edge, zone) lane of travel.
 
     Entries are keyed by global id in insertion order, and pushes must not
     go back in time, so ``t_exit`` never decreases from head to tail.
+    Buffers built with one ``ledger`` share it; by default each has its own.
     """
 
-    def __init__(self, edge_key: EdgeKey, zone: Zone) -> None:
+    def __init__(
+        self, edge_key: EdgeKey, zone: Zone, ledger: Optional[BufferLedger] = None
+    ) -> None:
         self.edge_key = edge_key
         self.zone = zone
+        self.ledger = ledger if ledger is not None else BufferLedger()
         self._entries: dict[int, BufferEntry] = {}
 
     def __len__(self) -> int:
@@ -161,11 +178,16 @@ class DirectionalBuffer:
                     f"is before the tail entry's t={tail.t_exit}"
                 )
         # a re-push supersedes the previous parking of the same id
-        entries.pop(entry.global_id, None)
+        ledger = self.ledger
+        if entries.pop(entry.global_id, None) is None:
+            ledger.entries += 1
         entries[entry.global_id] = entry
+        if entry.t_exit < ledger.t_floor:
+            ledger.t_floor = entry.t_exit
 
     def remove(self, entry: BufferEntry) -> None:
         del self._entries[entry.global_id]
+        self.ledger.entries -= 1
 
     def sweep_expired(self, now: float, ttl: float) -> list[BufferEntry]:
         """Drop and return entries whose age reached the timeout.
@@ -180,6 +202,7 @@ class DirectionalBuffer:
             expired.append(e)
         for e in expired:
             del self._entries[e.global_id]
+        self.ledger.entries -= len(expired)
         return expired
 
 
@@ -244,9 +267,12 @@ class HandoverEngine:
         self.topology = topology
         self.matcher = matcher if matcher is not None else MatcherConfig()
         self._buffers: dict[tuple[EdgeKey, Zone], DirectionalBuffer] = {}
+        # one ledger for every buffer, so neither a count nor a sweep that
+        # finds nothing due has to visit them all
+        self._ledger = BufferLedger()
         for e in topology.edges:
             for z in (Zone.UPPER, Zone.LOWER):
-                self._buffers[(e.key, z)] = DirectionalBuffer(e.key, z)
+                self._buffers[(e.key, z)] = DirectionalBuffer(e.key, z, self._ledger)
         self._calibration = {n.id: n.calibration for n in topology.nodes}
         # per camera, its edges in edges_at order: a multi-edge query keeps
         # the first of equal keys
@@ -302,7 +328,7 @@ class HandoverEngine:
         }
 
     def total_buffered(self) -> int:
-        return sum(len(b._entries) for b in self._buffers.values())
+        return self._ledger.entries
 
     # -- matching ----------------------------------------------------------
 
@@ -369,6 +395,10 @@ class HandoverEngine:
         Runs automatically at the end of each snapshot; callable on its own
         to flush buffers at a chosen time, e.g. after the final update.
         """
+        ttl, ledger = self.matcher.eps_time, self._ledger
+        # t_floor is at or below every t_exit, so no entry is as old as it
+        if now - ledger.t_floor < ttl:
+            return []
         if frame_index is None:
             frame_index = self._last_frame if self._last_frame is not None else 0
         out = [
@@ -378,8 +408,11 @@ class HandoverEngine:
             )
             for (edge_key, zone), buf in self._buffers.items()
             if buf._entries
-            for entry in buf.sweep_expired(now, self.matcher.eps_time)
+            for entry in buf.sweep_expired(now, ttl)
         ]
+        # every head has been seen, and a head holds its buffer's least t_exit
+        heads = (next(iter(b)) for b in self._buffers.values() if b._entries)
+        ledger.t_floor = min((e.t_exit for e in heads), default=math.inf)
         self._log(out)
         return out
 

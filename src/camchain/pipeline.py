@@ -4,20 +4,26 @@ The in-memory path (``run_scenario``) and the file path (``simulate`` then
 ``stitch`` then ``evaluate`` over an output directory) produce identical
 artifacts byte for byte: the frame barrier makes snapshot content
 independent of delivery order, and the engine is deterministic given
-snapshots. ``report.json`` carries no wall-clock numbers; timing lives only
-in ``bench_report.json``. ``stitch_updates`` and the four ``*_dir`` commands
-run with the cyclic GC paused (``tracks.gc_paused``), reads and writes included.
+snapshots. The in-memory path hands the barrier per-camera updates in
+delivery order; the file path hands it whole frames, which
+``observations.csv`` already holds in order. Both feed one engine loop.
+``report.json`` carries no wall-clock numbers; timing lives only in
+``bench_report.json``. ``stitch_updates``, ``stitch_observations`` and the
+four ``*_dir`` commands run with the cyclic GC paused (``tracks.gc_paused``),
+reads and writes included.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
+from itertools import starmap
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .formats import (
     dump_json,
+    frames_from_rows,
     load_json,
     meta_from_dict,
     read_events,
@@ -29,7 +35,6 @@ from .formats import (
     scenario_from_dict,
     scenario_to_dict,
     topology_to_dict,
-    updates_from_rows,
     write_events,
     write_observations,
     write_trajectories,
@@ -48,7 +53,7 @@ from .metrics import (
     summarize_throughput,
 )
 from .simulator import ScenarioConfig, SimResult, TrueHandover, TruthObs, run_sim
-from .sync import BarrierConfig, StreamUpdate, SyncBarrier
+from .sync import BarrierConfig, Snapshot, StreamUpdate, SyncBarrier
 from .topology import TopologyGraph
 from .tracks import TrajRow, gc_paused
 
@@ -88,6 +93,38 @@ class StitchResult:
         return [row for gid in sorted(trajs) for row in trajs[gid].states]
 
 
+def _stitch(
+    topology: TopologyGraph,
+    matcher: Optional[MatcherConfig],
+    barrier: SyncBarrier,
+    snapshots: Iterable[Snapshot],
+    timing: bool = False,
+) -> StitchResult:
+    """Run the snapshots ``barrier`` releases through a new engine."""
+    engine = HandoverEngine(topology, matcher)
+    result = StitchResult(engine=engine, snapshots=0, barrier_stats={})
+    for snap in snapshots:
+        if timing:
+            t0 = time.perf_counter()
+            engine.process_snapshot(snap)
+            result.snapshot_seconds.append(time.perf_counter() - t0)
+        else:
+            engine.process_snapshot(snap)
+        result.occupancy.append(engine.total_buffered())
+        result.snapshots += 1
+    result.barrier_stats = asdict(barrier.stats)
+    return result
+
+
+def _released(barrier: SyncBarrier, updates: Iterable[StreamUpdate]) -> Iterator[Snapshot]:
+    """Each snapshot as soon as the update that completes it is ingested."""
+    for u in updates:
+        barrier.ingest(u)
+        while (snap := barrier.try_release()) is not None:
+            yield snap
+    yield from barrier.drain()
+
+
 @gc_paused
 def stitch_updates(
     topology: TopologyGraph,
@@ -98,30 +135,7 @@ def stitch_updates(
 ) -> StitchResult:
     """Feed per-camera updates through the frame barrier into the engine."""
     barrier = SyncBarrier(BarrierConfig(camera_ids=topology.camera_ids, max_lag=max_lag))
-    engine = HandoverEngine(topology, matcher)
-    result = StitchResult(engine=engine, snapshots=0, barrier_stats={})
-
-    def consume(snap) -> None:
-        if timing:
-            t0 = time.perf_counter()
-            engine.process_snapshot(snap)
-            result.snapshot_seconds.append(time.perf_counter() - t0)
-        else:
-            engine.process_snapshot(snap)
-        result.occupancy.append(engine.total_buffered())
-        result.snapshots += 1
-
-    for u in updates:
-        barrier.ingest(u)
-        while True:
-            snap = barrier.try_release()
-            if snap is None:
-                break
-            consume(snap)
-    for snap in barrier.drain():
-        consume(snap)
-    result.barrier_stats = asdict(barrier.stats)
-    return result
+    return _stitch(topology, matcher, barrier, _released(barrier, updates), timing)
 
 
 def evaluate_stitch(
@@ -208,12 +222,26 @@ def stitch_dir(
     (package defaults when the file has none).
     """
     src = Path(in_dir)
-    out = Path(out_dir) if out_dir is not None else src
     topology, file_matcher = parse_topology(
         topology_path if topology_path is not None else src / TOPOLOGY
     )
-    if matcher is None:
-        matcher = file_matcher
+    return stitch_observations(
+        src, topology, matcher if matcher is not None else file_matcher, out_dir, max_lag
+    )
+
+
+@gc_paused
+def stitch_observations(
+    in_dir: str | Path,
+    topology: TopologyGraph,
+    matcher: Optional[MatcherConfig] = None,
+    out_dir: Optional[str | Path] = None,
+    max_lag: Optional[int] = None,
+) -> StitchResult:
+    """``stitch_dir`` over a topology already parsed, from a directory's
+    observations.csv and meta.json."""
+    src = Path(in_dir)
+    out = Path(out_dir) if out_dir is not None else src
     meta = meta_from_dict(load_json(src / META))
     rate, n_cams = meta["frame_rate"], len(topology.nodes)
     if meta["n_cameras"] != n_cams:
@@ -230,12 +258,14 @@ def stitch_dir(
             raise ConfigError(
                 f"topology.cameras[{i}].frame_dt: {node.calibration.frame_dt} != 1 / {rate} fps"
             )
-    # rows are read, gridded and stitched one at a time; nothing is written
-    # until the whole file has passed every check
-    updates = updates_from_rows(
+    # rows are read and stitched a whole frame at a time: the file is in
+    # frame order, so each frame goes through the barrier as it completes.
+    # Nothing is written until the whole file has passed every check.
+    barrier = SyncBarrier(BarrierConfig(camera_ids=topology.camera_ids, max_lag=max_lag))
+    frames = frames_from_rows(
         read_observations(src / OBSERVATIONS), topology.camera_ids, meta["frame_count"], rate
     )
-    stitch = stitch_updates(topology, updates, matcher, max_lag)
+    stitch = _stitch(topology, matcher, barrier, starmap(barrier.ingest_frame, frames))
     out.mkdir(parents=True, exist_ok=True)
     write_trajectories(out / TRAJECTORIES, stitch.trajectory_rows(rate))
     write_events(out / EVENTS, stitch.events)

@@ -7,6 +7,11 @@ camera has either delivered it or moved past it. With ``max_lag`` set, a
 camera trailing more than that many frames behind the fastest stream stops
 blocking: the frame is released with an empty track list for it and the
 camera is flagged in the snapshot metadata.
+
+A source that already holds whole frames in order, such as
+``observations.csv``, hands each one to ``ingest_frame`` instead: it makes
+the same checks and counts the same statistics as delivering the frame's
+per-camera updates one by one, and returns the frame's snapshot at once.
 """
 
 from __future__ import annotations
@@ -32,19 +37,24 @@ class StreamUpdate:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tracks", tuple(self.tracks))
-        for ts in self.tracks:
-            if ts.camera_id != self.camera_id:
-                raise MalformedInputError(
-                    f"track camera {ts.camera_id} inside update for camera {self.camera_id}"
-                )
-            if ts.t != self.t:
-                raise MalformedInputError(
-                    f"track time {ts.t} differs from update time {self.t}"
-                )
-            if ts.frame_index != self.frame_index:
-                raise MalformedInputError(
-                    f"track frame {ts.frame_index} inside update for frame {self.frame_index}"
-                )
+        _check_tracks(self.camera_id, self.frame_index, self.t, self.tracks)
+
+
+def _check_tracks(
+    camera_id: int, frame_index: int, t: float, tracks: tuple[TrackState, ...]
+) -> None:
+    """Every track of one camera's update must carry its camera, frame and time."""
+    for ts in tracks:
+        if ts.camera_id != camera_id:
+            raise MalformedInputError(
+                f"track camera {ts.camera_id} inside update for camera {camera_id}"
+            )
+        if ts.t != t:
+            raise MalformedInputError(f"track time {ts.t} differs from update time {t}")
+        if ts.frame_index != frame_index:
+            raise MalformedInputError(
+                f"track frame {ts.frame_index} inside update for frame {frame_index}"
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,7 +93,8 @@ class SyncBarrier:
 
     ``ingest`` may be called from multiple producer threads; calls are
     serialized internally. ``try_release`` returns at most one snapshot per
-    call and None when nothing is releasable yet.
+    call and None when nothing is releasable yet. ``ingest_frame`` takes a
+    whole frame at once and returns its snapshot.
     """
 
     def __init__(self, cfg: BarrierConfig) -> None:
@@ -126,6 +137,53 @@ class SyncBarrier:
             self._pending_total += 1
             if self._pending_total > self.stats.peak_pending:
                 self.stats.peak_pending = self._pending_total
+
+    def ingest_frame(
+        self, frame_index: int, t: float, per_camera: Mapping[int, tuple[TrackState, ...]]
+    ) -> Snapshot:
+        """Take one whole frame, every registered camera's tracks, and
+        release it as a snapshot.
+
+        It checks what ``ingest`` and ``StreamUpdate`` check of each of the
+        frame's updates and counts them as ``ingest`` and ``try_release``
+        would. Per-camera updates still pending refuse it, because the
+        frame would overtake them. The snapshot holds ``per_camera`` itself,
+        not a copy.
+        """
+        with self._lock:
+            cams = self.cfg.camera_ids
+            if self._pending:
+                raise CausalityError(
+                    f"frame {frame_index} delivered whole while "
+                    f"{self._pending_total} per-camera updates are pending"
+                )
+            if per_camera.keys() != cams:
+                for cam in per_camera:
+                    if cam not in cams:
+                        raise ConfigError(f"camera {cam} is not registered with the barrier")
+                missing = min(cams - per_camera.keys())
+                raise MalformedInputError(f"frame {frame_index} lacks camera {missing}")
+            if frame_index < 0:
+                raise MalformedInputError(f"negative frame index {frame_index}")
+            if frame_index <= self._high:
+                cam = min(c for c, f in self._last_ingested.items() if f >= frame_index)
+                raise CausalityError(
+                    f"camera {cam} delivered frame {frame_index} "
+                    f"after frame {self._last_ingested[cam]}"
+                )
+            for cam, tracks in per_camera.items():
+                if tracks:
+                    _check_tracks(cam, frame_index, t, tracks)
+            n = len(self._cams)
+            self._last_ingested = dict.fromkeys(self._cams, frame_index)
+            self._low = self._high = self._released_frame = frame_index
+            self._at_low = n
+            stats = self.stats
+            stats.ingested += n
+            stats.released += 1
+            if n > stats.peak_pending:
+                stats.peak_pending = n
+            return Snapshot(frame_index, t, per_camera)
 
     def try_release(self) -> Optional[Snapshot]:
         """Release the oldest pending frame once every camera's last delivery

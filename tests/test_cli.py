@@ -13,10 +13,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from camchain import cli
+from camchain import formats as fmt
 from camchain import pipeline as pl
 from camchain.errors import MalformedInputError
 from camchain.formats import load_json, scenario_from_dict, scenario_to_dict, topology_to_dict
-from camchain.handover import MatcherConfig
+from camchain.handover import MatcherConfig, MatchStrategy
 from camchain.simulator import build_topology
 from test_formats import BAD_SCENARIOS
 
@@ -115,6 +116,42 @@ class TestFullChain:
         assert code == 0
         topo = load_json(tmp_path / "fifo" / pl.TOPOLOGY)
         assert topo["matcher"]["strategy"] == "strict-fifo"
+
+    @pytest.mark.parametrize(
+        "flags", [(), ("--ttl", "40"), ("--topology", "TOPOLOGY", "--strategy", "strict-fifo")],
+        ids=["file-matcher", "flag", "override-and-flag"],
+    )
+    def test_stitch_parses_the_topology_and_builds_the_matcher_once(
+        self, tmp_path, monkeypatch, single_vehicle_run, flags
+    ):
+        src, _, _ = single_vehicle_run  # its topology.json has a matcher section
+        calls = {"parse_topology": 0, "matcher_from_dict": 0}
+
+        def spy(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        parse = spy("parse_topology", fmt.parse_topology)
+        for module in (fmt, cli, pl):
+            monkeypatch.setattr(module, "parse_topology", parse)
+        build = spy("matcher_from_dict", fmt.matcher_from_dict)
+        monkeypatch.setattr(fmt, "matcher_from_dict", build)
+        flags = [str(src / pl.TOPOLOGY) if f == "TOPOLOGY" else f for f in flags]
+        out = tmp_path / "out"
+        assert run_cli("stitch", "--in-dir", str(src), "--out-dir", str(out), *flags) == 0
+        assert calls == {"parse_topology": 1, "matcher_from_dict": 1}
+        expected = tmp_path / "expected"
+        file_matcher = fmt.parse_topology(src / pl.TOPOLOGY)[1]
+        overrides = {
+            "--ttl": ("eps_time", 40.0),
+            "--strategy": ("strategy", MatchStrategy.STRICT_FIFO),
+        }
+        kw = dict(overrides[f] for f in flags if f in overrides)
+        pl.stitch_dir(src, expected, matcher=replace(file_matcher, **kw))
+        for name in (pl.TRAJECTORIES, pl.EVENTS):
+            assert (out / name).read_bytes() == (expected / name).read_bytes()
 
     def test_bench_prints_throughput_and_writes_report(self, tmp_path, fixtures_dir, capsys):
         d = tmp_path / "bench"

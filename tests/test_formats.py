@@ -13,6 +13,7 @@ from camchain import formats
 from camchain import pipeline as pl
 from camchain.errors import ConfigError, MalformedInputError, ParseError
 from camchain.formats import (
+    frames_from_rows,
     EVENT_HEADER,
     EVENT_TABLE,
     OBS_HEADER,
@@ -41,7 +42,6 @@ from camchain.formats import (
     scenario_to_dict,
     topology_from_dict,
     topology_to_dict,
-    updates_from_rows,
     write_events,
     write_observations,
     write_table,
@@ -52,7 +52,7 @@ from camchain.formats import (
 )
 from camchain.handover import HandoverEngine, MatcherConfig, MatchStrategy
 from camchain.simulator import ScenarioConfig, ScriptedVehicle, run_sim
-from helpers import drive, two_cam_graph
+from helpers import drive, ts, two_cam_graph
 
 
 # scenario dicts whose scalars break their declared types; JSON can spell
@@ -253,19 +253,21 @@ class TestObservationsCsv:
         write_observations(p, sim.updates)
         return sim, p
 
-    def test_round_trip_rebuilds_the_update_grid(self, tmp_path):
+    def test_round_trip_rebuilds_every_frame(self, tmp_path):
         sim, p = self.write_small(tmp_path)
         rows = list(read_observations(p))
-        rebuilt = list(updates_from_rows(
+        rebuilt = list(frames_from_rows(
             rows,
             camera_ids=[1, 2, 3],
             frame_count=sim.frame_count,
             frame_rate=sim.config.frame_rate,
         ))
-        assert len(rebuilt) == len(sim.updates)
-        original = {(u.camera_id, u.frame_index): u.tracks for u in sim.updates}
-        for u in rebuilt:
-            assert u.tracks == original[(u.camera_id, u.frame_index)]
+        assert [f for f, _, _ in rebuilt] == list(range(sim.frame_count))
+        original = {(u.frame_index, u.camera_id): (u.t, u.tracks) for u in sim.updates}
+        for f, t, per_camera in rebuilt:
+            assert list(per_camera) == [1, 2, 3]
+            for cam, tracks in per_camera.items():
+                assert (t, tracks) == original[(f, cam)]
 
     def test_cells_use_six_decimal_places(self, tmp_path):
         _, p = self.write_small(tmp_path)
@@ -300,39 +302,53 @@ class TestObservationsCsv:
         sim, p = self.write_small(tmp_path)
         rows = list(read_observations(p))
         with pytest.raises(MalformedInputError, match="frame"):
-            list(updates_from_rows(rows, [1, 2, 3], frame_count=5, frame_rate=10.0))
+            list(frames_from_rows(rows, [1, 2, 3], frame_count=5, frame_rate=10.0))
         with pytest.raises(MalformedInputError, match="camera"):
-            list(updates_from_rows(rows, [2, 3], frame_count=sim.frame_count, frame_rate=10.0))
+            list(frames_from_rows(rows, [2, 3], frame_count=sim.frame_count, frame_rate=10.0))
         with pytest.raises(MalformedInputError):
-            list(updates_from_rows(rows, [1, 2, 3], frame_count=sim.frame_count, frame_rate=25.0))
+            list(frames_from_rows(rows, [1, 2, 3], frame_count=sim.frame_count, frame_rate=25.0))
 
     def test_grid_rejects_rows_out_of_cell_order(self, tmp_path):
         sim, p = self.write_small(tmp_path)
         rows = list(read_observations(p))
         with pytest.raises(MalformedInputError, match=r"not in \(frame_index, camera_id\) order"):
-            list(updates_from_rows(
+            list(frames_from_rows(
                 [rows[-1], *rows[:-1]], [1, 2, 3], sim.frame_count, sim.config.frame_rate
             ))
+        # a lower camera after a higher one in the same frame
+        a = ts(2, 1, 0.0, 5.0, -2.0)
+        b = ts(1, 1, 0.0, 5.0, -2.0)
+        with pytest.raises(MalformedInputError, match="local_id=1: not in"):
+            list(frames_from_rows([a, b], [1, 2], 1, 10.0))
 
     def test_grid_without_rows_is_every_cell_empty(self):
-        grid = list(updates_from_rows([], [2, 1], 3, 10.0))
-        assert [(u.frame_index, u.camera_id, u.t, u.tracks) for u in grid] == [
-            (f, c, f / 10.0, ()) for f in range(3) for c in (1, 2)
-        ]
-        assert list(updates_from_rows([], [], 3, 10.0)) == []
-        assert list(updates_from_rows([], [1, 2], 0, 10.0)) == []
+        grid = list(frames_from_rows([], [2, 1], 3, 10.0))
+        assert grid == [(f, f / 10.0, {1: (), 2: ()}) for f in range(3)]
+        assert [list(per_camera) for _, _, per_camera in grid] == [[1, 2]] * 3
+        assert list(frames_from_rows([], [], 3, 10.0)) == [(f, f / 10.0, {}) for f in range(3)]
+        assert list(frames_from_rows([], [1, 2], 0, 10.0)) == []
 
     def test_grid_hands_on_the_rows_it_was_given(self, tmp_path):
         sim, p = self.write_small(tmp_path)
         rows = list(read_observations(p))
-        grid = list(updates_from_rows(rows, [1, 2, 3], sim.frame_count, sim.config.frame_rate))
-        # the grid is in (frame, camera) order, as the file is
-        tracks = [s for u in grid for s in u.tracks]
+        frames = list(frames_from_rows(rows, [1, 2, 3], sim.frame_count, sim.config.frame_rate))
+        # the frames are in (frame, camera) order, as the file is
+        tracks = [s for _, _, per_camera in frames for c in per_camera.values() for s in c]
         assert len(tracks) == len(rows)
         assert all(s is r for s, r in zip(tracks, rows))
-        empty = [u.tracks for u in grid if not u.tracks]
+        empty = [c for _, _, per_camera in frames for c in per_camera.values() if not c]
         assert empty and all(e is empty[0] for e in empty)
+        # no frame's mapping is shared with, or changed after, another's
+        assert len({id(per_camera) for _, _, per_camera in frames}) == len(frames)
 
+    def test_frames_of_a_gapped_stream_are_all_there(self):
+        # rows in frames 1 and 4 only; the frames around them come out empty
+        rows = [ts(2, 1, 0.1, 5.0, -2.0), ts(2, 2, 0.1, 6.0, -2.0), ts(1, 3, 0.4, 7.0, -2.0)]
+        frames = list(frames_from_rows(rows, [1, 2], 6, 10.0))
+        assert [(f, t) for f, t, _ in frames] == [(f, round(f / 10.0, 6)) for f in range(6)]
+        assert frames[1][2] == {1: (), 2: tuple(rows[:2])}
+        assert frames[4][2] == {1: (rows[2],), 2: ()}
+        assert all(not any(c.values()) for i, (_, _, c) in enumerate(frames) if i not in (1, 4))
 
 class TestTrajectoriesCsv:
     def test_round_trip_with_missing_kinematics(self, tmp_path):

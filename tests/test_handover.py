@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given
@@ -23,7 +24,8 @@ from camchain.kinematics import (
     motion_status,
 )
 from camchain.pipeline import run_scenario
-from camchain.sync import Snapshot
+from camchain.simulator import NoiseConfig, run_sim
+from camchain.sync import BarrierConfig, Snapshot, SyncBarrier
 from camchain.topology import CameraNode, EdgeDef, TopologyGraph
 from camchain.tracks import TrackState
 from helpers import (
@@ -179,6 +181,68 @@ class TestTimeout:
         assert out[0].frame_index == 4
         out2 = HandoverEngine(g).expire(100.0)
         assert out2 == []  # nothing buffered, nothing to report
+
+
+BUFFER_KEYS = [((1, 2), Zone.UPPER), ((1, 2), Zone.LOWER)]
+
+# One step on a two-buffer engine: (action, buffer, global id, seconds on)
+_LEDGER_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["push", "push", "remove", "sweep", "expire"]),
+        st.integers(0, 1),
+        st.integers(1, 6),
+        st.sampled_from([0.0, 0.0, 1.0, 12.5, 30.0]),
+    ),
+    max_size=60,
+)
+
+
+class TestBufferLedger:
+    def test_total_buffered_is_the_sum_after_every_snapshot(self, fixtures_dir):
+        cfg = replace(
+            scenario_from_dict(load_json(fixtures_dir / "scenario_freeflow.json")),
+            noise=NoiseConfig(dropout_rate=0.01, pos_sigma_px=2.0, sync_jitter_frames=5),
+        )
+        sim = run_sim(cfg, 7)
+        eng = HandoverEngine(sim.topology)
+        ttl = eng.matcher.eps_time
+        bufs = [eng.buffer(e.key, z) for e in sim.topology.edges for z in Zone]
+        barrier = SyncBarrier(BarrierConfig(camera_ids=sim.topology.camera_ids))
+        snapshots = peak = 0
+        for u in sim.updates:
+            barrier.ingest(u)
+            for s in barrier.drain():
+                eng.process_snapshot(s)
+                snapshots += 1
+                total = eng.total_buffered()
+                assert total == sum(len(b) for b in bufs)
+                peak = max(peak, total)
+                # the sweep was skipped only when nothing was due
+                assert all(s.t - e.t_exit < ttl for b in bufs for e in b)
+        assert snapshots == sim.frame_count
+        assert peak > 0 and eng.counts["expired"] > 0
+
+    @given(_LEDGER_STEPS)
+    def test_direct_push_remove_and_sweep_keep_count_and_expiry(self, steps):
+        eng = make_engine()  # eps_time 30
+        bufs = [eng.buffer(*k) for k in BUFFER_KEYS]
+        now, seq = 0.0, 0
+        for action, i, gid, dt in steps:
+            now += dt
+            buf = bufs[i]
+            if action == "push":
+                seq += 1
+                buf.push(BufferEntry(gid, 1, gid, now, 0.5, seq))
+            elif action == "remove" and len(buf):
+                buf.remove(next(iter(buf)))
+            elif action == "sweep":
+                due = [e for e in buf if now - e.t_exit >= 30.0]
+                assert buf.sweep_expired(now, 30.0) == due
+            elif action == "expire":
+                due = {(b.edge_key, e.global_id) for b in bufs for e in b if now - e.t_exit >= 30.0}
+                assert {(ev.edge, ev.global_id) for ev in eng.expire(now)} == due
+                assert all(now - e.t_exit < 30.0 for b in bufs for e in b)
+            assert eng.total_buffered() == sum(len(b) for b in bufs)
 
 
 class TestSnapshotValidation:

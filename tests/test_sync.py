@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from camchain.errors import CamchainError, CausalityError, ConfigError, MalformedInputError
+from camchain.formats import frames_from_rows
 from camchain.sync import BarrierConfig, BarrierStats, Snapshot, StreamUpdate, SyncBarrier
 from helpers import ts
 
@@ -331,3 +332,126 @@ class TestWatermarksMatchAFullScan:
                     sent[cam] = frame
             assert asdict(fast.stats) == asdict(ref.stats)
             assert fast.pending_count == ref.pending_count
+
+
+# -- whole frames ----------------------------------------------------------------
+
+
+def cells(frame, counts, fps=10.0):
+    """One whole frame: camera -> that many tracks, as upd builds them."""
+    return {cam: upd(cam, frame, n, fps).tracks for cam, n in counts.items()}
+
+
+class TestIngestFrame:
+    def test_releases_the_frame_and_counts_its_updates(self):
+        b = barrier(cams=(1, 2, 3))
+        snap = b.ingest_frame(0, 0.0, cells(0, {1: 2, 2: 0, 3: 1}))
+        assert snap == Snapshot(0, 0.0, cells(0, {1: 2, 2: 0, 3: 1}))
+        assert snap.stalled == frozenset()
+        b.ingest_frame(4, 0.4, cells(4, {1: 0, 2: 0, 3: 0}))
+        assert asdict(b.stats) == asdict(
+            BarrierStats(ingested=6, released=2, dropped_late=0, peak_pending=3)
+        )
+        assert b.pending_count == 0 and b.try_release() is None
+
+    def test_per_camera_updates_may_follow(self):
+        b = barrier()
+        b.ingest_frame(0, 0.0, cells(0, {1: 1, 2: 1}))
+        with pytest.raises(CausalityError, match="camera 1 delivered frame 0 after frame 0"):
+            b.ingest(upd(1, 0))
+        b.ingest(upd(1, 1))
+        b.ingest(upd(2, 1))
+        assert b.try_release().frame_index == 1
+
+
+def _assert_refused(b, frame, t, per_camera, error, match):
+    before = asdict(b.stats)
+    with pytest.raises(error, match=match):
+        b.ingest_frame(frame, t, per_camera)
+    assert asdict(b.stats) == before
+
+
+class TestIngestFrameRejects:
+    def test_while_per_camera_updates_are_pending(self):
+        b = barrier()
+        b.ingest(upd(1, 0))
+        _assert_refused(b, 1, 0.1, cells(1, {1: 0, 2: 0}), CausalityError,
+                        "1 per-camera updates are pending")
+
+    def test_an_unregistered_camera(self):
+        _assert_refused(
+            barrier(), 0, 0.0, cells(0, {1: 0, 2: 0, 7: 0}), ConfigError,
+            "camera 7 is not registered",
+        )
+
+    def test_a_missing_camera(self):
+        _assert_refused(barrier(cams=(1, 2, 3)), 0, 0.0, cells(0, {1: 1, 3: 0}),
+                        MalformedInputError, "frame 0 lacks camera 2")
+
+    def test_a_negative_frame(self):
+        _assert_refused(barrier(), -1, 0.0, {1: (), 2: ()}, MalformedInputError,
+                        "negative frame index -1")
+
+    @pytest.mark.parametrize("frame", [3, 2])
+    def test_a_frame_not_after_every_camera_s_last(self, frame):
+        b = barrier()
+        b.ingest(upd(1, 3))
+        b.ingest(upd(2, 3))
+        b.drain()
+        _assert_refused(b, frame, frame / 10.0, cells(frame, {1: 0, 2: 0}), CausalityError,
+                        f"camera 1 delivered frame {frame} after frame 3")
+        b.ingest_frame(4, 0.4, cells(4, {1: 0, 2: 0}))  # the barrier is as it was
+
+    def test_a_track_of_another_camera(self):
+        per_camera = {1: cells(0, {2: 1})[2], 2: ()}
+        _assert_refused(barrier(), 0, 0.0, per_camera, MalformedInputError,
+                        "track camera 2 inside update for camera 1")
+
+    def test_a_track_at_another_time(self):
+        _assert_refused(barrier(), 0, 0.05, cells(0, {1: 1, 2: 0}), MalformedInputError,
+                        "track time 0.0 differs from update time 0.05")
+
+    def test_a_track_of_another_frame(self):
+        per_camera = {1: (), 2: tuple(s._replace(frame_index=4) for s in cells(5, {2: 1})[2])}
+        _assert_refused(barrier(), 5, 0.5, per_camera, MalformedInputError,
+                        "track frame 4 inside update for frame 5")
+
+
+# In-order rows: camera ids, frame count, and per (frame, camera) cell a
+# track count.
+_ROW_STREAMS = st.tuples(
+    st.sets(st.integers(1, 9), min_size=1, max_size=4).map(sorted),
+    st.integers(0, 8),
+    st.lists(st.integers(0, 3), max_size=40),
+    st.sampled_from([None, 0, 2]),
+)
+
+
+class TestWholeFramesMatchPerCameraUpdates:
+    @given(_ROW_STREAMS)
+    def test_same_snapshots_and_stats(self, stream):
+        cams, frame_count, counts, max_lag = stream
+        counts = iter(counts)
+        rows = [
+            s for f in range(frame_count) for c in cams
+            for s in upd(c, f, next(counts, 0)).tracks
+        ]
+        cfg = BarrierConfig(camera_ids=frozenset(cams), max_lag=max_lag)
+
+        # the reference: every (frame, camera) cell as its own update
+        ref = SyncBarrier(cfg)
+        expected = []
+        for f in range(frame_count):
+            for c in cams:
+                ref.ingest(StreamUpdate(
+                    c, f, round(f / 10.0, 6),
+                    tuple(s for s in rows if (s.frame_index, s.camera_id) == (f, c)),
+                ))
+                while (snap := ref.try_release()) is not None:
+                    expected.append(snap)
+        expected += ref.drain()
+
+        b = SyncBarrier(cfg)
+        got = [b.ingest_frame(*fr) for fr in frames_from_rows(rows, cams, frame_count, 10.0)]
+        assert got == expected
+        assert asdict(b.stats) == asdict(ref.stats)
